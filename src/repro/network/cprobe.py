@@ -1,9 +1,10 @@
 """Generated-C batch evaluator for the scalar end-to-end probe.
 
-The batched sweep execution of :mod:`repro.network.lanes` evaluates the
-same scalar objective as :func:`repro.network.vectorized._e2e_probe`,
-but tens of thousands of times per cell group — every golden-section
-refinement step of every (lane, s) search chain.  At that volume the
+The lane engine of :mod:`repro.network.lanes` — the numpy bound search
+of every entry point — evaluates the scalar objective
+:func:`repro.network.vectorized._e2e_probe` tens of thousands of times
+per cell group: every golden-section refinement step of every
+(lane, s) search chain.  At that volume the
 Python interpreter is the bottleneck, not the math.  This module emits a
 small C translation unit that mirrors the probe's floating-point
 expression trees *operation for operation* — the Eq. (33) sigma chain,
@@ -25,11 +26,15 @@ Availability
 ------------
 Compilation needs a C compiler (``cc``) on ``PATH``.  When compilation
 is impossible, :func:`available` is ``False`` and
-:func:`probe_values` transparently falls back to looping
-``_e2e_probe`` in Python — identical results, just slower.  The shared
-object is cached in the system temp directory keyed by a hash of the C
-source, so the compiler runs once per source revision, not once per
-process.
+:func:`probe_values` / :func:`golden_values` transparently fall back to
+looping ``_e2e_probe`` (and :func:`repro.utils.numeric.golden_section_min`
+over it) in Python — identical results, just slower.  Every numpy bound
+search runs through the lane engine and hence through this module, so
+that fallback is the only place the Python probe still runs; a
+no-compiler test leg keeps it covered.  The shared object is cached in
+the system temp directory (or ``REPRO_CPROBE_DIR``) keyed by a hash of
+the C source, so the compiler runs once per source revision, not once
+per process.
 """
 
 from __future__ import annotations

@@ -17,6 +17,15 @@ The EDF deadline convention of the numerical examples — per-node deadlines
 proportional to the resulting end-to-end bound — makes the bound
 self-referential; :func:`e2e_delay_bound_edf` resolves it by damped
 fixed-point iteration.
+
+Backends
+--------
+``backend="numpy"`` (the default, with ``method="exact"``) runs every
+search through the lane engine of :mod:`repro.network.lanes`: a
+single-lane batch of the same engine that fuses whole sweep grids.
+``backend="scalar"``, and ``method="paper"`` on either backend, run the
+point-by-point search in this module — the independent reference the
+lane engine is checked against.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Literal, Sequence
+from typing import Iterator, Literal, Sequence, get_args
 
 from repro import obs
 from repro.arrivals.ebb import EBB
@@ -47,6 +56,7 @@ from repro.utils.validation import (
 
 Method = Literal["exact", "paper"]
 Backend = Literal["scalar", "numpy"]
+NonConvergence = Literal["warn", "raise", "ignore"]
 
 
 def check_backend(backend: str) -> None:
@@ -99,6 +109,32 @@ class FixedPointError(RuntimeError):
     """The EDF deadline fixed point did not reach its tolerance."""
 
 
+def check_nonconvergence_policy(policy: str) -> None:
+    """Validate an ``on_nonconvergence`` selector."""
+    if policy not in get_args(NonConvergence):
+        raise ValueError(
+            "on_nonconvergence must be 'warn', 'raise', or 'ignore', got "
+            f"{policy!r}"
+        )
+
+
+def report_nonconvergence(
+    policy: NonConvergence, max_iter: int, tol: float, residual: float
+) -> None:
+    """Apply the ``on_nonconvergence`` policy to an EDF fixed point that
+    used up ``max_iter`` iterations: raise :class:`FixedPointError`,
+    emit a :class:`RuntimeWarning` at the solver's caller, or do
+    nothing."""
+    message = (
+        f"EDF deadline fixed point did not converge in {max_iter} "
+        f"iterations: relative residual {residual:.3g} > tol {tol:g}"
+    )
+    if policy == "raise":
+        raise FixedPointError(message)
+    if policy == "warn":
+        warnings.warn(message, RuntimeWarning, stacklevel=3)
+
+
 @dataclass(frozen=True)
 class FixedPointDiagnostics:
     """Convergence record of the EDF deadline fixed point.
@@ -139,6 +175,20 @@ class EDFBound:
 
     def __iter__(self) -> Iterator:
         return iter((self.result, self.delta))
+
+    @classmethod
+    def finish(
+        cls, result: E2EResult, delta: float, iterations: int,
+        residual: float, converged: bool, start: float,
+    ) -> EDFBound:
+        """The bound of a fixed point that began at ``start`` (a
+        :func:`time.perf_counter` reading) and ends now."""
+        return cls(
+            result, delta,
+            FixedPointDiagnostics(
+                iterations, residual, converged, time.perf_counter() - start
+            ),
+        )
 
 
 def sigma_for_epsilon(
@@ -257,12 +307,13 @@ def e2e_delay_bound(
     method:
         ``"exact"`` (breakpoint enumeration) or ``"paper"`` (Eqs. 40-42).
     backend:
-        ``"numpy"`` (default) runs the ``gamma`` search through the
-        batched kernels of :mod:`repro.network.vectorized`; ``"scalar"``
-        probes :func:`e2e_delay_bound_at_gamma` point by point.  Both
-        re-evaluate the optimum through the scalar path, so the returned
-        bounds agree to well within 1e-9 relative.  ``method="paper"``
-        always uses the scalar search.
+        ``"numpy"`` (default) runs the ``gamma`` search as one lane of
+        :mod:`repro.network.lanes` (batched grid, compiled golden-section
+        refinement); ``"scalar"`` probes :func:`e2e_delay_bound_at_gamma`
+        point by point.  Both evaluate the optimum through
+        :func:`e2e_delay_bound_at_gamma`, so the returned bounds agree to
+        well within 1e-9 relative.  ``method="paper"`` always uses the
+        scalar search.
     """
     check_backend(backend)
     if gamma is not None:
@@ -276,15 +327,13 @@ def e2e_delay_bound(
         return _INFEASIBLE
 
     if backend == "numpy" and method == "exact":
-        from repro.network.vectorized import optimize_gamma_e2e
+        from repro.network.lanes import optimal_gamma
 
-        g_best, _ = optimize_gamma_e2e(
-            through, cross, hops, capacity, delta, epsilon,
-            gamma_grid=gamma_grid,
+        g_best = optimal_gamma(
+            through, cross, hops, capacity, delta, epsilon, gamma_grid
         )
         return e2e_delay_bound_at_gamma(
-            through, cross, hops, capacity, delta, epsilon, g_best,
-            method=method,
+            through, cross, hops, capacity, delta, epsilon, g_best
         )
 
     gamma_max = headroom / (hops + 1)
@@ -371,7 +420,8 @@ def e2e_delay_bound_mmoo(
     per-node cross aggregate (``n_cross = 0`` means no cross traffic).
     Optimizes jointly over the effective-bandwidth parameter ``s`` (the
     EBB decay ``alpha``) and the rate degradation ``gamma``; with
-    ``backend="numpy"`` every inner ``gamma`` search runs batched.
+    ``backend="numpy"`` the search runs as one lane of
+    :func:`repro.network.lanes.mmoo_bound_lanes`.
     """
     check_backend(backend)
     n_through = check_int(n_through, "n_through", minimum=1)
@@ -379,79 +429,32 @@ def e2e_delay_bound_mmoo(
     check_positive(capacity, "capacity")
     if (n_through + n_cross) * traffic.mean_rate >= capacity:
         return _INFEASIBLE
-    with obs.trace("e2e.mmoo_bound"):
-        return _e2e_delay_bound_mmoo_feasible(
-            traffic, n_through, n_cross, hops, capacity, delta, epsilon,
-            method=method, s_grid=s_grid, gamma_grid=gamma_grid,
-            backend=backend,
-        )
-
-
-def _e2e_delay_bound_mmoo_feasible(
-    traffic: MMOOParameters,
-    n_through: int,
-    n_cross: int,
-    hops: int,
-    capacity: float,
-    delta: float,
-    epsilon: float,
-    *,
-    method: Method,
-    s_grid: int,
-    gamma_grid: int,
-    backend: Backend,
-) -> E2EResult:
-    """The (s, gamma) search of :func:`e2e_delay_bound_mmoo` after the
-    argument checks and the load feasibility gate have passed."""
-    s_max = _max_feasible_s(traffic, n_through + max(n_cross, 1), capacity)
-
-    def ebb_pair(s: float) -> tuple[EBB, EBB]:
-        return mmoo_ebb_pair(traffic, n_through, n_cross, s)
-
-    def at_s(s: float) -> E2EResult:
-        through, cross = ebb_pair(s)
-        return e2e_delay_bound(
-            through,
-            cross,
-            hops,
-            capacity,
-            delta,
-            epsilon,
-            method=method,
-            gamma_grid=gamma_grid,
-            backend=backend,
-        )
-
     if backend == "numpy" and method == "exact":
-        # delay-only objective for the s search: the batched gamma search
-        # plus one probe at its optimum — the probe mirrors the scalar
-        # evaluation, so the s trajectory matches the scalar backend's;
-        # only the final s is materialized through the scalar path
-        from repro.network.vectorized import _e2e_probe, optimize_gamma_e2e
+        from repro.network.lanes import LaneSpec, mmoo_bound_lanes
 
-        def objective(s: float) -> float:
-            through, cross = ebb_pair(s)
-            if capacity - cross.rate - through.rate <= 0:
-                return math.inf
-            hops_int = check_int(hops, "hops", minimum=1)
-            g_best, _ = optimize_gamma_e2e(
-                through, cross, hops_int, capacity, delta, epsilon,
-                gamma_grid=gamma_grid,
+        hops = check_int(hops, "hops", minimum=1)
+        spec = LaneSpec(
+            traffic, n_through, n_cross, hops, capacity, delta, epsilon,
+            s_grid=s_grid, gamma_grid=gamma_grid,
+        )
+        return mmoo_bound_lanes([spec])[0]
+    with obs.trace("e2e.mmoo_bound"):
+        s_max = _max_feasible_s(
+            traffic, n_through + max(n_cross, 1), capacity
+        )
+
+        def at_s(s: float) -> E2EResult:
+            through, cross = mmoo_ebb_pair(traffic, n_through, n_cross, s)
+            return e2e_delay_bound(
+                through, cross, hops, capacity, delta, epsilon,
+                method=method, gamma_grid=gamma_grid, backend="scalar",
             )
-            return _e2e_probe(
-                through, cross, hops_int, capacity, delta, epsilon, g_best
-            )
 
-    else:
-
-        def objective(s: float) -> float:
-            return at_s(s).delay
-
-    s_best, _ = grid_then_golden(
-        objective, s_max * 1e-4, s_max * (1.0 - 1e-9),
-        grid_points=s_grid, log_spaced=True,
-    )
-    return at_s(s_best)
+        s_best, _ = grid_then_golden(
+            lambda s: at_s(s).delay, s_max * 1e-4, s_max * (1.0 - 1e-9),
+            grid_points=s_grid, log_spaced=True,
+        )
+        return at_s(s_best)
 
 
 def e2e_delay_bound_edf(
@@ -470,7 +473,7 @@ def e2e_delay_bound_edf(
     s_grid: int = 24,
     gamma_grid: int = 24,
     backend: Backend = "numpy",
-    on_nonconvergence: Literal["warn", "raise", "ignore"] = "warn",
+    on_nonconvergence: NonConvergence = "warn",
 ) -> EDFBound:
     """EDF bound with self-referential deadlines (paper Examples 1-3).
 
@@ -487,15 +490,29 @@ def e2e_delay_bound_edf(
     policy: ``"warn"`` (default) emits a :class:`RuntimeWarning` and
     flags ``converged=False``; ``"raise"`` raises
     :class:`FixedPointError`; ``"ignore"`` only flags the result.
+
+    With ``backend="numpy"`` the fixed point runs as one lane of
+    :func:`repro.network.lanes.edf_bound_lanes`.
     """
+    check_backend(backend)
+    n_through = check_int(n_through, "n_through", minimum=1)
+    n_cross = check_int(n_cross, "n_cross", minimum=0)
+    hops = check_int(hops, "hops", minimum=1)
     check_probability(epsilon, "epsilon")
     check_positive(deadline_weight_through, "deadline_weight_through")
     check_positive(deadline_weight_cross, "deadline_weight_cross")
-    if on_nonconvergence not in ("warn", "raise", "ignore"):
-        raise ValueError(
-            "on_nonconvergence must be 'warn', 'raise', or 'ignore', got "
-            f"{on_nonconvergence!r}"
+    check_nonconvergence_policy(on_nonconvergence)
+    if backend == "numpy" and method == "exact":
+        from repro.network.lanes import EDFLaneSpec, edf_bound_lanes
+
+        spec = EDFLaneSpec(
+            traffic, n_through, n_cross, hops, capacity, epsilon,
+            deadline_weight_through=deadline_weight_through,
+            deadline_weight_cross=deadline_weight_cross,
+            tol=tol, max_iter=max_iter, s_grid=s_grid,
+            gamma_grid=gamma_grid, on_nonconvergence=on_nonconvergence,
         )
+        return edf_bound_lanes([spec])[0]
     start = time.perf_counter()
 
     def bound_at(delta: float) -> E2EResult:
@@ -505,26 +522,11 @@ def e2e_delay_bound_edf(
             backend=backend,
         )
 
-    def done(
-        result: E2EResult, delta: float, iterations: int,
-        residual: float, converged: bool,
-    ) -> EDFBound:
-        return EDFBound(
-            result=result,
-            delta=delta,
-            diagnostics=FixedPointDiagnostics(
-                iterations=iterations,
-                residual=residual,
-                converged=converged,
-                wall_time_s=time.perf_counter() - start,
-            ),
-        )
-
     weight_gap = deadline_weight_through - deadline_weight_cross
     with obs.trace("e2e.edf_fixed_point"):
         current = bound_at(0.0)  # FIFO start
         if not current.feasible:
-            return done(current, 0.0, 0, 0.0, True)
+            return EDFBound.finish(current, 0.0, 0, 0.0, True, start)
         delta = weight_gap * current.delay / hops
         residual = math.inf
         for iteration in range(1, max_iter + 1):
@@ -533,7 +535,7 @@ def e2e_delay_bound_edf(
                 obs.add("e2e.edf_iterations")
             if not result.feasible:
                 # an infinite bound cannot move: the iteration is at rest
-                return done(result, delta, iteration, 0.0, True)
+                return EDFBound.finish(result, delta, iteration, 0.0, True, start)
             new_delta = weight_gap * result.delay / hops
             step = abs(new_delta - delta)
             scale = max(1.0, abs(delta))
@@ -541,14 +543,9 @@ def e2e_delay_bound_edf(
             if obs.enabled():
                 obs.observe("e2e.edf_residual", residual)
             if step <= tol * scale:
-                return done(result, new_delta, iteration, residual, True)
+                return EDFBound.finish(
+                    result, new_delta, iteration, residual, True, start
+                )
             delta = 0.5 * (delta + new_delta)  # damping
-    message = (
-        f"EDF deadline fixed point did not converge in {max_iter} "
-        f"iterations: relative residual {residual:.3g} > tol {tol:g}"
-    )
-    if on_nonconvergence == "raise":
-        raise FixedPointError(message)
-    if on_nonconvergence == "warn":
-        warnings.warn(message, RuntimeWarning, stacklevel=2)
-    return done(result, delta, max_iter, residual, False)
+    report_nonconvergence(on_nonconvergence, max_iter, tol, residual)
+    return EDFBound.finish(result, delta, max_iter, residual, False, start)

@@ -13,15 +13,17 @@ kernel call per engine round.
 This module implements that as a tiny cooperative scheduler over
 *search chains*:
 
-* a chain is a Python generator that mirrors one scalar search
-  (``golden_section_min``, ``refine_grid_minimum``,
-  ``grid_then_golden``, the ``s``-objective, the mmoo bound) bitwise —
-  same brackets, same comparisons, same floats — but *yields* its probe
-  requests instead of evaluating them;
+* a chain is a Python generator that yields its probe requests
+  instead of evaluating them.  The s-search and the gamma refinement
+  are the search generators of :mod:`repro.utils.numeric`
+  (``grid_then_golden_steps``, ``refine_grid_steps``) — the very loops
+  behind ``grid_then_golden`` and ``golden_section_min`` — driven with
+  engine requests, so each search loop exists once;
 * the engine gathers the pending requests of all live chains each
-  round and executes them together: scalar objective probes go through
-  the generated-C kernel of :mod:`repro.network.cprobe` (one C call for
-  the whole round), gamma-grid evaluations go through the row-stacked
+  round and executes them together: scalar objective probes and whole
+  golden-section refinements go through the generated-C kernel of
+  :mod:`repro.network.cprobe` (one C call per kind for the whole
+  round), gamma-grid evaluations go through the row-stacked
   :func:`repro.network.vectorized.e2e_delay_grid_rows`;
 * :func:`edf_bound_lanes` drives the whole grid's EDF deadline vector
   through one such engine pass per fixed-point iteration, with
@@ -29,26 +31,34 @@ This module implements that as a tiny cooperative scheduler over
   chains (its diagnostics freeze at its own iteration count) while
   stragglers keep iterating.
 
+This is *the* numpy search: ``backend="numpy"`` of
+:func:`~repro.network.e2e.e2e_delay_bound`,
+:func:`~repro.network.e2e.e2e_delay_bound_mmoo` and
+:func:`~repro.network.e2e.e2e_delay_bound_edf` runs a single-lane batch
+of this engine.  A numpy lane remembers the gamma its s-search found
+at each ``s`` and materializes the final bound with
+:func:`~repro.network.e2e.e2e_delay_bound_at_gamma` there.
+
 Bitwise contract
 ----------------
-Every lane's results — bounds, gammas, iteration counts, residuals,
-convergence flags — are identical to what the per-cell functions
-(:func:`repro.network.e2e.e2e_delay_bound_mmoo`,
-:func:`repro.network.e2e.e2e_delay_bound_edf`) return, because every
-floating-point decision runs through mirrored expression trees and the
-final optimum is materialized through the very same scalar functions.
-The equivalence suite pins this per scheduler, path length, and
-backend.
+A lane's results — bounds, gammas, iteration counts, residuals,
+convergence flags — do not depend on which other lanes share its
+batch: every kernel is elementwise or row-local.  Numpy lanes are
+pinned bit for bit by the frozen reference of
+``tests/network/test_numpy_reference.py``; scalar lanes
+(``backend="scalar"``) equal the independent point-by-point search of
+:mod:`repro.network.e2e` bitwise, which the equivalence suite checks
+per scheduler and path length.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Iterable
 
 import numpy as np
 
@@ -61,13 +71,20 @@ from repro.network.e2e import (
     _max_feasible_s,
     E2EResult,
     EDFBound,
-    FixedPointDiagnostics,
-    FixedPointError,
+    NonConvergence,
     check_backend,
+    check_nonconvergence_policy,
     e2e_delay_bound,
+    e2e_delay_bound_at_gamma,
     mmoo_ebb_pair,
+    report_nonconvergence,
 )
-from repro.network.vectorized import _delta_case, _log_grid, e2e_delay_grid_rows
+from repro.network.vectorized import _delta_case, e2e_delay_grid_rows
+from repro.utils.numeric import (
+    grid_then_golden_steps,
+    refine_grid_steps,
+    search_grid,
+)
 from repro.utils.validation import check_int, check_positive, check_probability
 
 __all__ = [
@@ -76,9 +93,6 @@ __all__ = [
     "mmoo_bound_lanes",
     "edf_bound_lanes",
 ]
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass(frozen=True)
 class LaneSpec:
@@ -115,7 +129,7 @@ class EDFLaneSpec:
     s_grid: int = 24
     gamma_grid: int = 24
     backend: str = "numpy"
-    on_nonconvergence: Literal["warn", "raise", "ignore"] = "warn"
+    on_nonconvergence: NonConvergence = "warn"
 
 
 class _Ctx:
@@ -140,18 +154,19 @@ class _Ctx:
 class _Lane:
     """Mutable per-lane state shared by the chains of one bound."""
 
-    __slots__ = ("spec", "delta", "table", "_s_max")
+    __slots__ = ("spec", "delta", "table", "gammas", "_s_max")
 
     def __init__(self, spec: LaneSpec | EDFLaneSpec, delta: float,
                  table: cprobe.ProbeTable):
         self.spec = spec
         self.delta = delta
         self.table = table
+        self.gammas: dict[float, float] = {}  # s -> optimal gamma (numpy)
         self._s_max: float | None = None
 
     def s_max(self) -> float:
         # delta-independent, so cached across EDF fixed-point iterations
-        # (the per-cell path recomputes the identical bisection result)
+        # (the scalar search recomputes the identical bisection result)
         if self._s_max is None:
             spec = self.spec
             self._s_max = _max_feasible_s(
@@ -173,90 +188,86 @@ class _Lane:
         )
 
     def at_s(self, s: float) -> E2EResult:
-        """Materialize the optimum through the real scalar entry point."""
+        """Materialize the bound at the optimal ``s``.
+
+        numpy: :func:`~repro.network.e2e.e2e_delay_bound_at_gamma` at the
+        gamma the s-search found there.  scalar: the reference re-runs
+        its own search through :func:`~repro.network.e2e.e2e_delay_bound`.
+        """
         spec = self.spec
         through, cross = mmoo_ebb_pair(
             spec.traffic, spec.n_through, spec.n_cross, s
         )
-        return e2e_delay_bound(
+        if spec.backend == "scalar":
+            return e2e_delay_bound(
+                through, cross, spec.hops, spec.capacity, self.delta,
+                spec.epsilon, method=spec.method,
+                gamma_grid=spec.gamma_grid, backend="scalar",
+            )
+        gamma = self.gammas.get(s)
+        if gamma is None:  # no rate headroom at s: nothing was searched
+            return _INFEASIBLE
+        return e2e_delay_bound_at_gamma(
             through, cross, spec.hops, spec.capacity, self.delta,
-            spec.epsilon, method=spec.method, gamma_grid=spec.gamma_grid,
-            backend=spec.backend,
+            spec.epsilon, gamma,
         )
 
 
 # --------------------------------------------------------------------- #
-# search chains: bitwise mirrors of the scalar searches as generators
+# search chains: the numeric search generators, driven with engine requests
 # --------------------------------------------------------------------- #
 
 
-def _golden_chain(req, low, high, *, tol=1e-9, max_iter=200):
-    """Mirror of :func:`repro.utils.numeric.golden_section_min`."""
-    a, b = low, high
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = yield [req(x1), req(x2)]
-    for _ in range(max_iter):
-        if b - a <= tol * max(1.0, abs(a) + abs(b)):
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            (f1,) = yield [req(x1)]
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            (f2,) = yield [req(x2)]
-    if f1 <= f2:
-        return x1, f1
-    return x2, f2
+def _requests(steps, request):
+    """Drive a :mod:`repro.utils.numeric` search generator through the
+    engine: each probe point ``x`` it yields becomes ``request(x)``."""
+    values = None
+    while True:
+        try:
+            points = steps.send(values)
+        except StopIteration as stop:
+            return stop.value
+        values = yield [request(x) for x in points]
 
 
-def _refine_chain(req, xs, fs, *, tol=1e-9):
-    """Mirror of :func:`repro.utils.numeric.refine_grid_minimum`."""
-    best = min(range(len(xs)), key=lambda i: fs[i])
-    if not math.isfinite(fs[best]):
-        return xs[best], fs[best]
-    lo = xs[max(0, best - 1)]
-    hi = xs[min(len(xs) - 1, best + 1)]
-    x_ref, f_ref = yield from _golden_chain(req, lo, hi, tol=tol)
-    if f_ref <= fs[best]:
-        return x_ref, f_ref
-    return xs[best], fs[best]
+def _kernel_golden(index: int, low: float, high: float, *, tol: float):
+    """The golden-section pass of :func:`refine_grid_steps` as one
+    in-kernel request (:func:`repro.network.cprobe.golden_values` runs
+    :func:`~repro.utils.numeric.golden_section_min` at its default
+    ``tol``, the one ``refine_grid_steps`` passes here)."""
+    ((x, f),) = yield [("go", index, low, high)]
+    return x, f
 
 
 def _gamma_chain(ctx: _Ctx):
-    """Mirror of the per-cell gamma search at one fixed ``s``.
+    """The gamma search at one fixed ``s``.
 
-    numpy backend: :func:`~repro.network.vectorized.optimize_gamma_e2e`
-    (batched grid + probe-driven refinement).  scalar backend: the
-    ``grid_then_golden`` pass of :func:`~repro.network.e2e.e2e_delay_bound`
-    (probe values equal the scalar objective bitwise).  Returns
+    A log-spaced grid — one row-stacked numpy request on the numpy
+    backend, one scalar probe per point on the scalar backend (probe
+    values equal the scalar objective bitwise) — then
+    :func:`~repro.utils.numeric.refine_grid_steps` with its
+    golden-section pass run in the kernel.  Returns
     ``(gamma_best, delay_at_gamma_best)``.
     """
     headroom = ctx.capacity - ctx.cross.rate - ctx.through.rate
     gamma_max = headroom / (ctx.hops + 1)
-    xs = _log_grid(gamma_max * 1e-6, gamma_max * (1.0 - 1e-9), ctx.gamma_grid)
+    xs = search_grid(
+        gamma_max * 1e-6, gamma_max * (1.0 - 1e-9), ctx.gamma_grid,
+        log_spaced=True,
+    )
     if ctx.backend == "numpy":
         (fs,) = yield [("g", ctx, xs)]
     else:
         fs = yield [("p", ctx.index, x) for x in xs]
-    # mirror of refine_grid_minimum with the golden-section refinement
-    # executed as one batched in-kernel request ("go") per search
-    fs = list(fs)
-    best = min(range(len(xs)), key=lambda i: fs[i])
-    if not math.isfinite(fs[best]):
-        return xs[best], fs[best]
-    lo = xs[max(0, best - 1)]
-    hi = xs[min(len(xs) - 1, best + 1)]
-    ((x_ref, f_ref),) = yield [("go", ctx.index, lo, hi)]
-    if f_ref <= fs[best]:
-        return x_ref, f_ref
-    return xs[best], fs[best]
+    return (
+        yield from refine_grid_steps(
+            xs, fs, golden=functools.partial(_kernel_golden, ctx.index)
+        )
+    )
 
 
 def _s_objective_chain(lane: _Lane, s: float):
-    """Mirror of the mmoo ``s``-search objective at one ``s``."""
+    """The mmoo ``s``-search objective at one ``s``."""
     spec = lane.spec
     through, cross = mmoo_ebb_pair(
         spec.traffic, spec.n_through, spec.n_cross, s
@@ -266,29 +277,29 @@ def _s_objective_chain(lane: _Lane, s: float):
     ctx = lane.register(through, cross)
     g_best, f_best = yield from _gamma_chain(ctx)
     if spec.backend == "numpy":
-        # per-cell: objective(s) = _e2e_probe(..., g_best)
+        # the objective is the probe at the optimum (a grid optimum holds
+        # the numpy grid value, which may sit ulps off the probe); the
+        # optimum is kept for materializing the bound at the final s
+        lane.gammas[s] = g_best
         (value,) = yield [("p", ctx.index, g_best)]
         return value
-    # per-cell scalar: objective(s) = at_s(s).delay, which re-evaluates
-    # the deterministic scalar objective at g_best — the same float the
-    # search already holds
+    # scalar: at_s(s).delay re-evaluates the deterministic scalar
+    # objective at g_best — the same float the search already holds
     return f_best
 
 
 def _mmoo_chain(lane: _Lane):
-    """Mirror of :func:`~repro.network.e2e.e2e_delay_bound_mmoo`."""
+    """The (s, gamma) search of one mmoo bound."""
     spec = lane.spec
     if (spec.n_through + spec.n_cross) * spec.traffic.mean_rate >= spec.capacity:
         return _INFEASIBLE
     s_max = lane.s_max()
-    low = s_max * 1e-4
-    high = s_max * (1.0 - 1e-9)
-    # mirror of grid_then_golden(objective, low, high, s_grid, log_spaced)
-    ratio = (high / low) ** (1.0 / (spec.s_grid - 1))
-    xs = [low * ratio**i for i in range(spec.s_grid)]
-    fs = yield [("c", _s_objective_chain(lane, x)) for x in xs]
-    s_best, _ = yield from _refine_chain(
-        lambda s: ("c", _s_objective_chain(lane, s)), xs, list(fs)
+    steps = grid_then_golden_steps(
+        s_max * 1e-4, s_max * (1.0 - 1e-9),
+        grid_points=spec.s_grid, log_spaced=True,
+    )
+    s_best, _ = yield from _requests(
+        steps, lambda s: ("c", _s_objective_chain(lane, s))
     )
     return lane.at_s(s_best)
 
@@ -446,6 +457,28 @@ def _check_lane(spec: LaneSpec | EDFLaneSpec) -> None:
         )
 
 
+def optimal_gamma(
+    through: EBB,
+    cross: EBB,
+    hops: int,
+    capacity: float,
+    delta: float,
+    epsilon: float,
+    gamma_grid: int,
+) -> float:
+    """The delay-optimal ``gamma`` of one fixed EBB pair: a single gamma
+    chain, the numpy search of :func:`~repro.network.e2e.e2e_delay_bound`
+    (which checks its arguments and the rate headroom first)."""
+    table = cprobe.ProbeTable()
+    index = table.add(through, cross, hops, capacity, delta, epsilon)
+    ctx = _Ctx(
+        index, through, cross, hops, capacity, delta, epsilon, gamma_grid,
+        "numpy",
+    )
+    ((gamma, _),) = _run_chains(table, [_gamma_chain(ctx)])
+    return gamma
+
+
 def mmoo_bound_lanes(specs: Iterable[LaneSpec]) -> list[E2EResult]:
     """Batched :func:`~repro.network.e2e.e2e_delay_bound_mmoo`.
 
@@ -482,11 +515,7 @@ def edf_bound_lanes(specs: Iterable[EDFLaneSpec]) -> list[EDFBound]:
             spec.deadline_weight_through, "deadline_weight_through"
         )
         check_positive(spec.deadline_weight_cross, "deadline_weight_cross")
-        if spec.on_nonconvergence not in ("warn", "raise", "ignore"):
-            raise ValueError(
-                "on_nonconvergence must be 'warn', 'raise', or 'ignore', "
-                f"got {spec.on_nonconvergence!r}"
-            )
+        check_nonconvergence_policy(spec.on_nonconvergence)
     n = len(specs)
     start = time.perf_counter()
     table = cprobe.ProbeTable()
@@ -504,17 +533,8 @@ def edf_bound_lanes(specs: Iterable[EDFLaneSpec]) -> list[EDFBound]:
     results: list[E2EResult | None] = [None] * n
     active = list(range(n))
 
-    def finish(i, result, delta, iterations, residual, converged):
-        bounds[i] = EDFBound(
-            result=result,
-            delta=delta,
-            diagnostics=FixedPointDiagnostics(
-                iterations=iterations,
-                residual=residual,
-                converged=converged,
-                wall_time_s=time.perf_counter() - start,
-            ),
-        )
+    def finish(i, *state):
+        bounds[i] = EDFBound.finish(*state, start)
 
     with obs.trace("lanes.edf_batch"):
         # FIFO bootstrap, deduplicated across lanes sharing a geometry
@@ -550,7 +570,11 @@ def edf_bound_lanes(specs: Iterable[EDFLaneSpec]) -> list[EDFBound]:
             iteration += 1
             over = [i for i in active if iteration > specs[i].max_iter]
             for i in over:
-                _nonconvergence(specs[i], residuals[i])
+                spec = specs[i]
+                report_nonconvergence(
+                    spec.on_nonconvergence, spec.max_iter, spec.tol,
+                    residuals[i],
+                )
                 finish(
                     i, results[i], deltas[i], specs[i].max_iter,
                     residuals[i], False,
@@ -596,13 +620,3 @@ def edf_bound_lanes(specs: Iterable[EDFLaneSpec]) -> list[EDFBound]:
             )
     return [bound for bound in bounds]
 
-
-def _nonconvergence(spec: EDFLaneSpec, residual: float) -> None:
-    message = (
-        f"EDF deadline fixed point did not converge in {spec.max_iter} "
-        f"iterations: relative residual {residual:.3g} > tol {spec.tol:g}"
-    )
-    if spec.on_nonconvergence == "raise":
-        raise FixedPointError(message)
-    if spec.on_nonconvergence == "warn":
-        warnings.warn(message, RuntimeWarning, stacklevel=2)

@@ -12,14 +12,16 @@ same mathematics as array operations:
   case analysis and exact breakpoint minimization over a
   ``(batch, candidates, hops)`` broadcast, so one call solves the
   theta-optimization for a whole ``gamma`` grid at once;
-* :func:`batched_sigma_for_epsilon` — the Eq. (33) combination and its
-  inversion at ``epsilon`` over a ``gamma`` grid;
-* :func:`e2e_delay_grid` / :func:`additive_delay_grid` — whole-grid
-  evaluation of the end-to-end and node-by-node objectives, with
-  closed-form fast paths for BMUX (Eq. (43)) and FIFO (Eq. (44));
-* :func:`optimize_gamma_e2e` / :func:`optimize_gamma_additive` — the
-  grid-then-refine search: one batched grid sweep, then golden-section
-  refinement of the argmin bracket driven by cheap scalar probes;
+* :func:`e2e_delay_grid_rows` — the end-to-end objective over the
+  ``gamma`` grids of many lanes at once (the Eq. (33) sigma chain, then
+  closed forms for BMUX (Eq. (43)) and FIFO (Eq. (44)) or the batched
+  exact solve) — the grid stage of the lane engine of
+  :mod:`repro.network.lanes`, which is the numpy end-to-end search;
+* :func:`_e2e_probe` — the scalar probe of that objective at one
+  ``gamma``: the reference the generated C kernel of
+  :mod:`repro.network.cprobe` mirrors, and its no-compiler fallback;
+* :func:`additive_delay_grid` / :func:`optimize_gamma_additive` — the
+  node-by-node additive bound's grid and grid-then-refine search;
 * :func:`solve_exact_fast` — a drop-in O(H log H) replacement for
   :func:`~repro.network.optimization.solve_exact` built on a slope-sweep
   over the sorted breakpoints (used by the backlog probes, where the
@@ -30,13 +32,13 @@ Equivalence contract with the scalar path
 Every kernel mirrors the scalar code's floating-point expression trees
 (same operations, same association order, sequential hop sums), so grid
 values agree with the scalar objective to the last few ulps and the
-grid-then-refine search follows the same trajectory as
+grid-then-refine searches follow the same trajectory as
 :func:`repro.utils.numeric.grid_then_golden` except at exact
 floating-point ties.  The optimized ``gamma``/``s`` is then re-evaluated
 through the *scalar* ``..._at_gamma`` functions, so the numpy backend's
 returned bounds match the scalar backend's to well within 1e-9 relative
-(the randomized cross-validation suite pins this).  Two deliberate
-semantic differences: where the scalar constructors *raise* (a saturated
+(the randomized cross-validation suite pins this).  One deliberate
+semantic difference: where the scalar constructors *raise* (a saturated
 hop, ``sigma`` underflow) the kernels return ``inf`` for the affected
 lanes, matching the infeasible-result convention of the callers.
 """
@@ -56,16 +58,14 @@ from repro.network.optimization import (
     ThetaSolution,
     theta_for_x,
 )
-from repro.utils.numeric import safe_exp
+from repro.utils.numeric import refine_grid_minimum, safe_exp, search_grid
 from repro.utils.validation import check_non_negative
 
 __all__ = [
     "batched_theta_for_x",
-    "batched_sigma_for_epsilon",
     "batched_solve_exact",
-    "e2e_delay_grid",
+    "e2e_delay_grid_rows",
     "additive_delay_grid",
-    "optimize_gamma_e2e",
     "optimize_gamma_additive",
     "solve_exact_fast",
 ]
@@ -294,48 +294,17 @@ def batched_solve_exact(service_rates, cross_rates, deltas, sigmas, *, case=None
 
 
 # --------------------------------------------------------------------- #
-# sigma over a gamma grid
+# sigma at one gamma (the probe's Eq. (33) chain)
 # --------------------------------------------------------------------- #
-
-
-def batched_sigma_for_epsilon(
-    through: EBB, cross: EBB, hops: int, gammas, epsilon: float
-) -> np.ndarray:
-    """Vectorized :func:`~repro.network.e2e.sigma_for_epsilon` for the
-    homogeneous case (``cross`` applies at every one of ``hops`` nodes).
-
-    Lanes whose geometric factor underflows (where the scalar
-    ``sample_path_bound`` raises) come back as ``inf``.
-    """
-    g = np.asarray(gammas, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        geo_t = -np.expm1(-through.decay * g)
-        geo_c = -np.expm1(-cross.decay * g)
-        # Eq. (33): w accumulated in the scalar bound-list order
-        w = 1.0 / through.decay
-        for _ in range(hops):
-            w += 1.0 / cross.decay
-        log_m = math.log(w) + np.log(
-            (through.prefactor / geo_t) * through.decay
-        ) / (through.decay * w)
-        last = cross.prefactor / geo_c
-        inflated = last / geo_c
-        term_inflated = np.log(inflated * cross.decay) / (cross.decay * w)
-        for _ in range(hops - 1):
-            log_m = log_m + term_inflated
-        log_m = log_m + np.log(last * cross.decay) / (cross.decay * w)
-        prefactor = np.exp(log_m)
-        alpha = 1.0 / w
-        sigma = np.maximum(0.0, np.log(prefactor / epsilon) / alpha)
-        sigma = np.where((geo_t <= 0.0) | (geo_c <= 0.0), np.inf, sigma)
-    return sigma
 
 
 def _sigma_fast(
     through: EBB, cross: EBB, hops: int, gamma: float, epsilon: float
 ) -> float:
-    """Scalar mirror of :func:`batched_sigma_for_epsilon` (``inf`` on
-    underflow), bitwise-equal to the scalar ``sigma_for_epsilon`` chain."""
+    """The homogeneous-path ``sigma_for_epsilon`` chain of the probe
+    (``inf`` on underflow, where the scalar constructors raise) —
+    bitwise-equal to :func:`~repro.network.e2e.sigma_for_epsilon` and
+    to the row-stacked sigma of :func:`e2e_delay_grid_rows`."""
     geo_t = -math.expm1(-through.decay * gamma)
     geo_c = -math.expm1(-cross.decay * gamma)
     if geo_t <= 0.0 or geo_c <= 0.0:
@@ -703,46 +672,6 @@ def _fifo_closed_form(
     return total
 
 
-def e2e_delay_grid(
-    through: EBB,
-    cross: EBB,
-    hops: int,
-    capacity: float,
-    delta: float,
-    epsilon: float,
-    gammas,
-) -> np.ndarray:
-    """The :func:`~repro.network.e2e.e2e_delay_bound_at_gamma` objective
-    over a whole ``gamma`` grid, as one batch of array operations.
-
-    Infeasible lanes (Eq. (32) violated, ``sigma`` underflow) are ``inf``,
-    matching the scalar ``_INFEASIBLE`` convention.  BMUX and FIFO take
-    the closed forms Eq. (43)/(44); other ``Delta`` go through
-    :func:`batched_solve_exact`.
-    """
-    g = np.asarray(gammas, dtype=float)
-    feasible = (hops + 1) * g < capacity - cross.rate - through.rate
-    sigma = batched_sigma_for_epsilon(through, cross, hops, g, epsilon)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if delta == math.inf:
-            # Eq. (43): d = sigma / (R_H - r), flat-segment value of the
-            # exact breakpoint minimum
-            denom = (capacity - (hops - 1) * g) - (cross.rate + g)
-            delays = np.where(denom > 0.0, sigma / denom, np.inf)
-        elif delta == 0.0:
-            delays = _fifo_grid(hops, capacity, cross.rate, g, sigma)
-        else:
-            h_index = np.arange(hops, dtype=float)
-            r_svc = capacity - h_index[None, :] * g[..., None]
-            r_cross = (cross.rate + g)[..., None]
-            delays, _, _ = batched_solve_exact(r_svc, r_cross, delta, sigma)
-        delays = np.where(feasible & np.isfinite(sigma), delays, np.inf)
-    if obs.enabled():
-        obs.add("vectorized.grid_points", int(g.size))
-        obs.add("vectorized.grid_infeasible", int(np.isinf(delays).sum()))
-    return delays
-
-
 def _fifo_grid(
     hops: int, capacity: float, rho_cross: float, g: np.ndarray, sigma
 ) -> np.ndarray:
@@ -775,16 +704,19 @@ def e2e_delay_grid_rows(
     epsilon: float,
     gammas,
 ) -> np.ndarray:
-    """Row-stacked :func:`e2e_delay_grid`: many lanes, one array program.
+    """The :func:`~repro.network.e2e.e2e_delay_bound_at_gamma` objective
+    over a ``(lanes, grid)`` array of ``gamma`` values, one lane per row.
 
-    Row ``i`` of the ``(lanes, grid)`` result equals
-    ``e2e_delay_grid(throughs[i], crosses[i], hops, capacity, deltas[i],
-    epsilon, gammas[i])`` bitwise: every kernel expression is elementwise
-    (or row-local, for the candidate solves), so stacking lanes into
-    taller arrays evaluates the identical IEEE sequence per row.  All
-    ``deltas`` must fall in the same Eq. (38) case (the batch planner
-    groups lanes accordingly); ``hops``, ``capacity`` and ``epsilon`` are
-    shared across the stack.
+    Row ``i`` evaluates ``throughs[i]``/``crosses[i]``/``deltas[i]`` over
+    ``gammas[i]``; every kernel expression is elementwise (or row-local,
+    for the candidate solves), so a row's values do not depend on the
+    rows stacked with it.  Infeasible points (Eq. (32) violated,
+    ``sigma`` underflow) are ``inf``, matching the scalar
+    ``_INFEASIBLE`` convention.  BMUX and FIFO take the closed forms
+    Eq. (43)/(44); other ``Delta`` go through
+    :func:`batched_solve_exact`.  All ``deltas`` must fall in the same
+    Eq. (38) case (the lane engine groups requests accordingly);
+    ``hops``, ``capacity`` and ``epsilon`` are shared across the stack.
     """
     g = np.asarray(gammas, dtype=float)
     if g.ndim != 2:
@@ -802,8 +734,9 @@ def e2e_delay_grid_rows(
     cr = np.array([c.rate for c in crosses])[:, None]
 
     feasible = (hops + 1) * g < (capacity - cr) - tr
-    # sigma: batched_sigma_for_epsilon with per-row EBB constants.  The
-    # scalar `w` accumulation stays a scalar loop per row (same floats).
+    # sigma: the Eq. (33) chain of `_sigma_fast` with per-row EBB
+    # constants.  The scalar `w` accumulation stays a scalar loop per row
+    # (same floats).
     w_rows = np.empty((lanes, 1))
     for i, (t, c) in enumerate(zip(throughs, crosses)):
         w = 1.0 / t.decay
@@ -873,7 +806,10 @@ def _e2e_probe(
     epsilon: float,
     gamma: float,
 ) -> float:
-    """Fast scalar mirror of the ``e2e_delay_bound_at_gamma`` objective."""
+    """Fast scalar mirror of the ``e2e_delay_bound_at_gamma`` objective.
+
+    The reference of the generated-C probe of :mod:`repro.network.cprobe`
+    and its fallback when no C compiler is available."""
     if (hops + 1) * gamma >= capacity - cross.rate - through.rate:
         return math.inf
     sigma = _sigma_fast(through, cross, hops, gamma, epsilon)
@@ -886,50 +822,6 @@ def _e2e_probe(
         return _fifo_closed_form(hops, capacity, cross.rate, gamma, sigma)
     r = cross.rate + gamma
     return _sweep_homogeneous(capacity, r, delta, sigma, hops, gamma)[0]
-
-
-def optimize_gamma_e2e(
-    through: EBB,
-    cross: EBB,
-    hops: int,
-    capacity: float,
-    delta: float,
-    epsilon: float,
-    *,
-    gamma_grid: int = 48,
-    tol: float = 1e-9,
-) -> tuple[float, float]:
-    """Grid-then-refine search for the delay-optimal ``gamma``.
-
-    The grid stage is one :func:`e2e_delay_grid` call; the refinement is
-    the same golden-section pass as the scalar path, driven by the cheap
-    :func:`_e2e_probe`.  Returns ``(gamma, delay)``; the delay equals the
-    scalar ``e2e_delay_bound_at_gamma(gamma).delay`` (callers wanting the
-    full result re-evaluate through the scalar path).
-    """
-    from repro.utils.numeric import refine_grid_minimum
-
-    with obs.trace("vectorized.optimize_gamma_e2e"):
-        headroom = capacity - cross.rate - through.rate
-        gamma_max = headroom / (hops + 1)
-        xs = _log_grid(gamma_max * 1e-6, gamma_max * (1.0 - 1e-9), gamma_grid)
-        fs = e2e_delay_grid(
-            through, cross, hops, capacity, delta, epsilon, np.asarray(xs)
-        )
-        return refine_grid_minimum(
-            lambda g: _e2e_probe(
-                through, cross, hops, capacity, delta, epsilon, g
-            ),
-            xs,
-            fs.tolist(),
-            tol=tol,
-        )
-
-
-def _log_grid(low: float, high: float, points: int) -> list[float]:
-    """The log-spaced grid of ``grid_then_golden``, same floats."""
-    ratio = (high / low) ** (1.0 / (points - 1))
-    return [low * ratio**i for i in range(points)]
 
 
 # --------------------------------------------------------------------- #
@@ -1060,14 +952,20 @@ def optimize_gamma_additive(
 ) -> tuple[float, float]:
     """Grid-then-refine search for the additive bound's ``gamma``.
 
-    Returns ``(gamma, delay)`` like :func:`optimize_gamma_e2e`.
+    The grid stage is one :func:`additive_delay_grid` call; the
+    refinement is the same golden-section pass as the scalar path,
+    driven by the cheap :func:`_additive_probe`.  Returns
+    ``(gamma, delay)``; the delay equals the scalar objective at
+    ``gamma`` (callers wanting the full result re-evaluate through the
+    scalar path).
     """
-    from repro.utils.numeric import refine_grid_minimum
-
     with obs.trace("vectorized.optimize_gamma_additive"):
         headroom = capacity - cross.rate - through.rate
         gamma_max = headroom / (hops + 1)
-        xs = _log_grid(gamma_max * 1e-6, gamma_max * (1.0 - 1e-9), gamma_grid)
+        xs = search_grid(
+            gamma_max * 1e-6, gamma_max * (1.0 - 1e-9), gamma_grid,
+            log_spaced=True,
+        )
         fs = additive_delay_grid(
             through, cross, hops, capacity, epsilon, np.asarray(xs)
         )

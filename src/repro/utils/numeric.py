@@ -7,6 +7,13 @@ numerically over gamma").  The objective is smooth but expensive, and we do
 not need high-order methods: a coarse grid scan followed by golden-section
 refinement around the best grid cell is robust and derivative-free.
 
+Each search loop is written once, as a generator that yields its probe
+points (:func:`golden_section_steps`, :func:`refine_grid_steps`,
+:func:`grid_then_golden_steps`); the familiar callable-taking functions
+are thin drivers of those generators, and the cross-cell lane engine of
+:mod:`repro.network.lanes` drives the same generators with batched
+probes.
+
 :func:`minimize_piecewise_linear` is the exact minimizer used by the
 theta-optimization of Eq. (38): the objective there is piecewise linear in
 the single remaining variable, so evaluating it at all region breakpoints
@@ -17,7 +24,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Generator, Iterable, Sequence
 
 from repro import obs
 
@@ -26,6 +33,13 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # ~0.618
 #: Largest exponent ``math.exp`` accepts without overflowing a double
 #: (``log(sys.float_info.max)`` ~ 709.78).
 EXP_OVERFLOW = math.log(sys.float_info.max)
+
+#: A derivative-free search written as a generator: it yields lists of
+#: probe points, is sent the list of their objective values, and
+#: returns ``(x_min, f_min)``.  The plain-callable searches below drive
+#: these generators point by point; the lane engine of
+#: :mod:`repro.network.lanes` drives the same generators in batches.
+SearchSteps = Generator[list, list, tuple]
 
 
 def safe_exp(exponent: float) -> float:
@@ -84,6 +98,48 @@ def bisect_increasing(
     return high
 
 
+def _drive(steps: SearchSteps, func: Callable[[float], float]) -> tuple:
+    """Run a search generator, evaluating ``func`` point by point."""
+    values: list | None = None
+    while True:
+        try:
+            points = steps.send(values)
+        except StopIteration as stop:
+            return stop.value
+        values = [func(x) for x in points]
+
+
+def golden_section_steps(
+    low: float, high: float, *, tol: float = 1e-9, max_iter: int = 200
+) -> SearchSteps:
+    """Generator form of :func:`golden_section_min`."""
+    if high < low:
+        raise ValueError(f"empty bracket [{low}, {high}]")
+    a, b = low, high
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1, f2 = yield [x1, x2]
+    iterations = 0
+    for _ in range(max_iter):
+        if b - a <= tol * max(1.0, abs(a) + abs(b)):
+            break
+        iterations += 1
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            (f1,) = yield [x1]
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            (f2,) = yield [x2]
+    if obs.enabled():
+        obs.add("numeric.golden_calls")
+        obs.add("numeric.golden_iterations", iterations)
+    if f1 <= f2:
+        return x1, f1
+    return x2, f2
+
+
 def golden_section_min(
     func: Callable[[float], float],
     low: float,
@@ -98,31 +154,39 @@ def golden_section_min(
     local minimum inside the bracket, which is acceptable for the refinement
     step after a grid scan.
     """
-    if high < low:
-        raise ValueError(f"empty bracket [{low}, {high}]")
-    a, b = low, high
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = func(x1), func(x2)
-    iterations = 0
-    for _ in range(max_iter):
-        if b - a <= tol * max(1.0, abs(a) + abs(b)):
-            break
-        iterations += 1
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = func(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = func(x2)
+    return _drive(
+        golden_section_steps(low, high, tol=tol, max_iter=max_iter), func
+    )
+
+
+def refine_grid_steps(
+    xs: Sequence[float],
+    fs: Sequence[float],
+    *,
+    tol: float = 1e-9,
+    golden: Callable[..., SearchSteps] = golden_section_steps,
+) -> SearchSteps:
+    """Generator form of :func:`refine_grid_minimum`.
+
+    ``golden(low, high, tol=...)`` supplies the refinement pass; the lane
+    engine substitutes one that runs the whole golden-section loop in a
+    single batched kernel request.
+    """
+    if len(xs) != len(fs):
+        raise ValueError("xs and fs must have equal length")
+    if not xs:
+        raise ValueError("need at least one grid point")
     if obs.enabled():
-        obs.add("numeric.golden_calls")
-        obs.add("numeric.golden_iterations", iterations)
-    if f1 <= f2:
-        return x1, f1
-    return x2, f2
+        obs.add("numeric.refine_calls")
+    best = min(range(len(xs)), key=lambda i: fs[i])
+    if not math.isfinite(fs[best]):
+        return xs[best], fs[best]
+    lo = xs[max(0, best - 1)]
+    hi = xs[min(len(xs) - 1, best + 1)]
+    x_ref, f_ref = yield from golden(lo, hi, tol=tol)
+    if f_ref <= fs[best]:
+        return x_ref, f_ref
+    return xs[best], fs[best]
 
 
 def refine_grid_minimum(
@@ -141,21 +205,40 @@ def refine_grid_minimum(
     of :func:`grid_then_golden`, shared so the batched (numpy) grid sweeps
     reuse the scalar refinement verbatim.
     """
-    if len(xs) != len(fs):
-        raise ValueError("xs and fs must have equal length")
-    if not xs:
-        raise ValueError("need at least one grid point")
+    return _drive(refine_grid_steps(xs, fs, tol=tol), func)
+
+
+def search_grid(
+    low: float, high: float, grid_points: int, *, log_spaced: bool = False
+) -> list[float]:
+    """The scan grid of :func:`grid_then_golden` (``grid_points >= 3``)."""
+    if high < low:
+        raise ValueError(f"empty bracket [{low}, {high}]")
+    if grid_points < 3:
+        raise ValueError("grid_points must be >= 3")
+    if log_spaced:
+        if low <= 0:
+            raise ValueError("log-spaced grid requires low > 0")
+        return logspace(low, high, grid_points)
+    step = (high - low) / (grid_points - 1)
+    return [low + i * step for i in range(grid_points)]
+
+
+def grid_then_golden_steps(
+    low: float,
+    high: float,
+    *,
+    grid_points: int = 32,
+    tol: float = 1e-9,
+    log_spaced: bool = False,
+) -> SearchSteps:
+    """Generator form of :func:`grid_then_golden`: yields the whole scan
+    grid as one batch, then the refinement probes."""
+    xs = search_grid(low, high, grid_points, log_spaced=log_spaced)
+    fs = yield xs
     if obs.enabled():
-        obs.add("numeric.refine_calls")
-    best = min(range(len(xs)), key=lambda i: fs[i])
-    if not math.isfinite(fs[best]):
-        return xs[best], fs[best]
-    lo = xs[max(0, best - 1)]
-    hi = xs[min(len(xs) - 1, best + 1)]
-    x_ref, f_ref = golden_section_min(func, lo, hi, tol=tol)
-    if f_ref <= fs[best]:
-        return x_ref, f_ref
-    return xs[best], fs[best]
+        obs.add("numeric.grid_evals", len(xs))
+    return (yield from refine_grid_steps(xs, fs, tol=tol))
 
 
 def grid_then_golden(
@@ -174,22 +257,10 @@ def grid_then_golden(
     point (see :func:`refine_grid_minimum`).  ``func`` may return
     ``math.inf`` for infeasible points.
     """
-    if high < low:
-        raise ValueError(f"empty bracket [{low}, {high}]")
-    if grid_points < 3:
-        raise ValueError("grid_points must be >= 3")
-    if log_spaced:
-        if low <= 0:
-            raise ValueError("log-spaced grid requires low > 0")
-        ratio = (high / low) ** (1.0 / (grid_points - 1))
-        xs = [low * ratio**i for i in range(grid_points)]
-    else:
-        step = (high - low) / (grid_points - 1)
-        xs = [low + i * step for i in range(grid_points)]
-    fs = [func(x) for x in xs]
-    if obs.enabled():
-        obs.add("numeric.grid_evals", len(xs))
-    return refine_grid_minimum(func, xs, fs, tol=tol)
+    steps = grid_then_golden_steps(
+        low, high, grid_points=grid_points, tol=tol, log_spaced=log_spaced
+    )
+    return _drive(steps, func)
 
 
 def minimize_piecewise_linear(

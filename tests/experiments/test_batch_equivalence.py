@@ -1,14 +1,21 @@
 """Batched execution is bitwise-equal to per-cell execution.
 
-Satellite of the cross-cell batching PR: randomized grids over the
-schedulers (FIFO / BMUX / EDF / SP), path lengths ``H in {1, 2, 10,
-30}``, and both numeric backends must produce *bitwise identical*
-results through the fused lane engine — same delay/gamma/alpha/sigma
-doubles, and for EDF the same fixed-point iteration counts, residuals,
-and convergence flags per cell.  Checked at two levels: the lane API
-(:mod:`repro.network.lanes` vs. the scalar entry points) and the full
-sweep pipeline (``run_sweep(batch=True)`` vs. the per-cell path,
-including cache interchangeability).
+Randomized grids over the schedulers (FIFO / BMUX / EDF / SP), path
+lengths ``H in {1, 2, 10, 30}``, and both numeric backends must produce
+*bitwise identical* results through the fused lane engine — same
+delay/gamma/alpha/sigma doubles, and for EDF the same fixed-point
+iteration counts, residuals, and convergence flags per cell.  Checked
+at two levels: the lane API (:mod:`repro.network.lanes` vs. the
+per-cell entry points) and the full sweep pipeline
+(``run_sweep(batch=True)`` vs. the per-cell path, including cache
+interchangeability).
+
+With ``backend="scalar"`` the per-cell entry points run the independent
+point-by-point search of :mod:`repro.network.e2e`.  With
+``backend="numpy"`` they run a single-lane batch of the lane engine
+itself, so the numpy cases check that fused lanes equal single lanes;
+the numpy reference values are the frozen fixture of
+``tests/network/test_numpy_reference.py``.
 """
 
 import math

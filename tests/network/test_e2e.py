@@ -222,3 +222,67 @@ class TestEDFFixedPoint:
                 self.TRAFFIC, 100, 236, 5, C, 1e-9,
                 on_nonconvergence="explode",
             )
+
+    @pytest.mark.parametrize("backend", ["numpy", "scalar"])
+    def test_nonconvergence_policy_same_on_both_backends(self, backend):
+        kwargs = dict(s_grid=8, gamma_grid=8, max_iter=1, backend=backend)
+        args = (self.TRAFFIC, 100, 236, 5, C, 1e-9)
+        with pytest.warns(RuntimeWarning) as record:
+            warned = e2e_delay_bound_edf(*args, **kwargs)
+        with pytest.raises(FixedPointError) as excinfo:
+            e2e_delay_bound_edf(*args, on_nonconvergence="raise", **kwargs)
+        # one message, built in one place, for both policies and backends
+        (warning,) = record
+        assert str(warning.message) == str(excinfo.value)
+        assert str(excinfo.value) == (
+            "EDF deadline fixed point did not converge in 1 iterations: "
+            f"relative residual {warned.diagnostics.residual:.3g} > tol 0.0001"
+        )
+        with pytest.raises(ValueError, match="on_nonconvergence"):
+            e2e_delay_bound_edf(*args, on_nonconvergence="explode", **kwargs)
+
+
+class TestGridSize:
+    """Every search grid needs at least three points (a bracket around
+    the best one); every entry point and backend raises ValueError."""
+
+    TRAFFIC = MMOOParameters(peak=1.5, p11=0.989, p22=0.9)
+
+    @pytest.mark.parametrize("backend", ["numpy", "scalar"])
+    @pytest.mark.parametrize("points", [1, 2])
+    def test_gamma_grid_below_three_raises(self, backend, points):
+        with pytest.raises(ValueError, match="grid_points must be >= 3"):
+            e2e_delay_bound(
+                THROUGH, CROSS, 3, C, 0.0, 1e-9,
+                gamma_grid=points, backend=backend,
+            )
+        with pytest.raises(ValueError, match="grid_points must be >= 3"):
+            e2e_delay_bound_mmoo(
+                self.TRAFFIC, 20, 40, 2, 20.0, 0.0, 1e-6,
+                s_grid=4, gamma_grid=points, backend=backend,
+            )
+
+    @pytest.mark.parametrize("backend", ["numpy", "scalar"])
+    @pytest.mark.parametrize("points", [1, 2])
+    def test_s_grid_below_three_raises(self, backend, points):
+        with pytest.raises(ValueError, match="grid_points must be >= 3"):
+            e2e_delay_bound_mmoo(
+                self.TRAFFIC, 20, 40, 2, 20.0, 0.0, 1e-6,
+                s_grid=points, gamma_grid=4, backend=backend,
+            )
+        with pytest.raises(ValueError, match="grid_points must be >= 3"):
+            e2e_delay_bound_edf(
+                self.TRAFFIC, 20, 40, 2, 20.0, 1e-6,
+                s_grid=points, gamma_grid=4, backend=backend,
+            )
+
+    @pytest.mark.parametrize("field", ["s_grid", "gamma_grid"])
+    def test_lanes_reject_small_grids(self, field):
+        from repro.network.lanes import LaneSpec, mmoo_bound_lanes
+
+        spec = LaneSpec(
+            self.TRAFFIC, 20, 40, 2, 20.0, 0.0, 1e-6,
+            **{"s_grid": 4, "gamma_grid": 4, field: 2},
+        )
+        with pytest.raises(ValueError, match="grid_points must be >= 3"):
+            mmoo_bound_lanes([spec])

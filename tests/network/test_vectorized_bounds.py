@@ -34,15 +34,23 @@ from repro.network.pernode import (
     additive_pernode_delay_bound_mmoo,
 )
 from repro.network.vectorized import (
-    batched_sigma_for_epsilon,
+    _sigma_fast,
     batched_solve_exact,
     batched_theta_for_x,
-    e2e_delay_grid,
+    e2e_delay_grid_rows,
     solve_exact_fast,
 )
 
 REL_TOL = 1e-9
 DELTA_CASES = (-math.inf, -2.5, 0.0, 0.7, math.inf)
+
+
+def delay_grid(through, cross, hops, capacity, delta, epsilon, gammas):
+    """One-row :func:`e2e_delay_grid_rows`: the objective over a grid."""
+    return e2e_delay_grid_rows(
+        [through], [cross], hops, capacity, [delta], epsilon,
+        np.asarray(gammas, dtype=float)[None, :],
+    )[0]
 
 
 def rel_diff(a: float, b: float) -> float:
@@ -139,36 +147,38 @@ class TestSolveExactFast:
 
 class TestBatchedSigma:
     def test_matches_scalar_chain(self):
+        # the probe's homogeneous sigma chain (shared by the grid rows and
+        # the C kernel) against the general Eq. (33) combination
         rng = random.Random(303)
         for hops in (1, 2, 5, 17):
             through = EBB(rng.uniform(1.0, 40.0), rng.uniform(0.5, 4.0),
                           rng.uniform(0.2, 3.0))
             cross = EBB(rng.uniform(1.0, 40.0), rng.uniform(0.5, 4.0),
                         rng.uniform(0.2, 3.0))
-            gammas = np.array([rng.uniform(1e-4, 2.0) for _ in range(12)])
-            batch = batched_sigma_for_epsilon(
-                through, cross, hops, gammas, 1e-9
-            )
-            for g, got in zip(gammas, batch):
+            for g in [rng.uniform(1e-4, 2.0) for _ in range(12)]:
+                got = _sigma_fast(through, cross, hops, g, 1e-9)
                 expected = sigma_for_epsilon(
-                    through, [cross] * hops, float(g), 1e-9
+                    through, [cross] * hops, g, 1e-9
                 )
-                assert rel_diff(float(got), expected) <= REL_TOL
+                assert rel_diff(got, expected) <= REL_TOL
 
     def test_underflow_lane_is_inf(self):
         # decay * gamma underflows to 0: scalar sample_path_bound raises,
-        # the batched kernel returns inf for the affected lane only
+        # the grid row returns inf for the affected point only
         through = EBB(2.0, 1.0, 1e-200)
         cross = EBB(2.0, 1.0, 1e-200)
-        batch = batched_sigma_for_epsilon(
-            through, cross, 3, np.array([1e-200, 1.0]), 1e-9
-        )
-        assert math.isinf(float(batch[0]))
+        assert math.isinf(_sigma_fast(through, cross, 3, 1e-200, 1e-9))
         with pytest.raises(ValueError):
             sigma_for_epsilon(through, [cross] * 3, 1e-200, 1e-9)
-        # the second lane does not underflow — the scalar chain returns
-        # inf (vanishing decay) rather than raising, and the lane matches
-        assert math.isinf(float(batch[1]))
+        row = delay_grid(through, cross, 3, 10.0, 0.0, 1e-9, [1e-200, 1.0])
+        assert math.isinf(float(row[0]))
+        assert math.isinf(
+            e2e_delay_bound_at_gamma(through, cross, 3, 10.0, 0.0, 1e-9,
+                                     1e-200).delay
+        )
+        # the second point does not underflow — the scalar chain returns
+        # inf (vanishing decay) rather than raising, and the point matches
+        assert math.isinf(float(row[1]))
         assert math.isinf(sigma_for_epsilon(through, [cross] * 3, 1.0, 1e-9))
 
 
@@ -184,7 +194,7 @@ class TestE2EGridAgainstScalar:
             gammas = np.array(
                 [rng.uniform(gmax * 1e-5, gmax * 0.999) for _ in range(20)]
             )
-            grid = e2e_delay_grid(
+            grid = delay_grid(
                 through, cross, hops, capacity, delta, 1e-9, gammas
             )
             for g, got in zip(gammas, grid):
@@ -197,9 +207,7 @@ class TestE2EGridAgainstScalar:
         through = EBB(3.0, 2.0, 1.1)
         cross = EBB(4.0, 5.0, 0.9)
         # gamma beyond the Eq. (32) headroom: scalar returns _INFEASIBLE
-        grid = e2e_delay_grid(
-            through, cross, 4, 10.0, 0.0, 1e-9, np.array([5.0])
-        )
+        grid = delay_grid(through, cross, 4, 10.0, 0.0, 1e-9, [5.0])
         assert math.isinf(float(grid[0]))
         scalar = e2e_delay_bound_at_gamma(
             through, cross, 4, 10.0, 0.0, 1e-9, 5.0

@@ -40,45 +40,60 @@ def small_spec(**extra):
     return SweepSpec.build("obs-test", cells, settings={"grid": 1})
 
 
+def edf_bound(backend="numpy"):
+    return e2e_delay_bound_edf(
+        TRAFFIC, 100, 100, 1, 1500.0, 1e-6, s_grid=6, gamma_grid=6,
+        backend=backend,
+    )
+
+
 class TestEDFFixedPointTrace:
+    """numpy runs the fixed point as one lane of the lane engine (lane
+    metrics); the scalar reference keeps its own ``e2e.*`` metrics."""
+
     def test_iterations_and_residuals_recorded(self, traced):
-        bound = e2e_delay_bound_edf(
-            TRAFFIC, 100, 100, 1, 1500.0, 1e-6, s_grid=6, gamma_grid=6
-        )
-        iters = traced.counter("e2e.edf_iterations")
+        bound = edf_bound()
+        assert bound.diagnostics.iterations >= 1
+        assert traced.series("lanes.edf_lane_iterations") == [
+            bound.diagnostics.iterations
+        ]
+        assert traced.counter("lanes.edf_lanes") == 1
+        with obs.scoped(enabled=True) as scalar:
+            bound = edf_bound("scalar")
+        iters = scalar.counter("e2e.edf_iterations")
         assert iters == bound.diagnostics.iterations
         assert iters >= 1
-        residuals = traced.series("e2e.edf_residual")
+        residuals = scalar.series("e2e.edf_residual")
         assert len(residuals) == iters
         assert residuals[-1] == pytest.approx(bound.diagnostics.residual)
 
     def test_span_tree_nests_mmoo_inside_fixed_point(self, traced):
-        e2e_delay_bound_edf(
-            TRAFFIC, 100, 100, 1, 1500.0, 1e-6, s_grid=6, gamma_grid=6
-        )
+        edf_bound()
         spans = traced.snapshot()["spans"]
+        assert spans["lanes.edf_batch"]["count"] == 1
+        assert "e2e.edf_fixed_point" not in spans
+        with obs.scoped(enabled=True) as scalar:
+            edf_bound("scalar")
+        spans = scalar.snapshot()["spans"]
         fixed_point = spans["e2e.edf_fixed_point"]
         mmoo = fixed_point["children"]["e2e.mmoo_bound"]
         # FIFO bootstrap + one evaluation per iteration
-        assert mmoo["count"] == fixed_point["count"] + traced.counter(
+        assert mmoo["count"] == fixed_point["count"] + scalar.counter(
             "e2e.edf_iterations"
         )
-        assert "vectorized.optimize_gamma_e2e" in mmoo["children"]
 
     def test_optimizer_counters_accumulate(self, traced):
-        e2e_delay_bound_edf(
-            TRAFFIC, 100, 100, 1, 1500.0, 1e-6, s_grid=6, gamma_grid=6
-        )
-        assert traced.counter("numeric.golden_calls") > 0
-        assert traced.counter("numeric.refine_calls") > 0
+        edf_bound()
+        assert traced.counter("lanes.engine_probes") > 0
         assert traced.counter("vectorized.grid_points") > 0
         assert traced.counter("vectorized.solve_lanes") > 0
+        with obs.scoped(enabled=True) as scalar:
+            edf_bound("scalar")
+        assert scalar.counter("numeric.golden_calls") > 0
+        assert scalar.counter("numeric.refine_calls") > 0
 
     def test_scalar_backend_counts_solver_calls(self, traced):
-        e2e_delay_bound_edf(
-            TRAFFIC, 100, 100, 1, 1500.0, 1e-6,
-            s_grid=6, gamma_grid=6, backend="scalar",
-        )
+        edf_bound("scalar")
         assert traced.counter("optimization.solve_exact_calls") > 0
 
 
@@ -182,9 +197,11 @@ class TestCLITrace:
         assert artifact["meta"]["trace"] is True
         # per-cell runtimes, one per computed cell
         assert len(metrics["series"]["sweep.cell_wall_time_s"]) == 3
-        # the EDF cell resolved its deadline fixed point under trace
-        assert metrics["counters"]["e2e.edf_iterations"] >= 1
-        assert len(metrics["series"]["e2e.edf_residual"]) >= 1
+        # the EDF cell resolved its deadline fixed point (one lane of the
+        # lane engine) under trace
+        (iterations,) = metrics["series"]["lanes.edf_lane_iterations"]
+        assert iterations >= 1
+        assert metrics["counters"]["lanes.edf_lanes"] == 1
         # cache counters present (all misses: --no-cache records nothing,
         # but the cells themselves carry snapshots)
         assert all("metrics" in cell for cell in artifact["cells"])

@@ -80,6 +80,17 @@ def test_validation_errors_are_structured_400s(harness):
             raise AssertionError("expected ServiceError")
 
 
+def test_two_point_grid_is_a_400_naming_the_field(harness):
+    with harness.client() as client:
+        for field in ("s_grid", "gamma_grid"):
+            status, payload = client.request(
+                "POST", "/v1/bounds", {**CHEAP_QUERY, field: 2}
+            )
+            assert status == 400
+            assert payload["error"]["code"] == "bad-request"
+            assert payload["error"]["field"] == field
+
+
 def test_admissible_requires_numeric_target(harness):
     with harness.client() as client:
         status, payload = client.request(
