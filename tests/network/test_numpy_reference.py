@@ -11,6 +11,13 @@ cases of ``tests/experiments/test_batch_equivalence.py``: every
 ``H in {1, 2, 10, 30}``.  The fixture was recorded from the per-cell
 numpy search the lane engine replaced, so it is the numpy reference.
 
+A second group of cases sits on the paper's Section V setting, chosen
+where the old numpy gamma grid and the scalar probe disagree by an ulp
+at some grid point, so a grid-value change that flips a comparison in
+the search shows up here: FIFO lanes at ``H in {2, 5, 10}`` over the
+Fig. 2 utilizations, ``Delta < 0`` and ``Delta = +inf`` lanes, and the
+EDF lanes of the quick Fig. 3 grid.
+
 Regenerate only for an intentional numeric change, and review the diff::
 
     PYTHONPATH=src python tests/network/test_numpy_reference.py --regen
@@ -27,6 +34,8 @@ from pathlib import Path
 import pytest
 
 from repro.arrivals.mmoo import MMOOParameters
+from repro.experiments import example2
+from repro.experiments.config import FULL_GRIDS, QUICK_GRIDS, paper_setting
 from repro.network.e2e import (
     e2e_delay_bound,
     e2e_delay_bound_edf,
@@ -43,6 +52,26 @@ MMOO_DELTAS = {"FIFO": 0.0, "BMUX": math.inf, "SP": -math.inf}
 #: Delta values of the fixed-EBB cases: one per Eq. (38) case, with
 #: both sides of zero for the finite ones.
 EBB_DELTAS = (0.0, math.inf, -math.inf, -2.5, 1.5)
+
+#: Section V lanes: N_0 = 100 through flows, cross flows up to the
+#: utilization.  (label, Delta, H, utilization, grids); every H = 5 and
+#: H = 10 FIFO lane and each listed Delta < 0 / +inf lane has grid
+#: points where the numpy grid and the probe differ by an ulp.
+PAPER_LANES = tuple(
+    ("FIFO", 0.0, hops, utilization, FULL_GRIDS)
+    for hops in (2, 5, 10)
+    for utilization in (0.35, 0.5, 0.65, 0.8, 0.95)
+) + (
+    ("BMUX", math.inf, 2, 0.35, FULL_GRIDS),
+    ("BMUX", math.inf, 5, 0.55, FULL_GRIDS),
+    ("BMUX", math.inf, 2, 0.6, QUICK_GRIDS),
+    ("BMUX", math.inf, 10, 0.6, QUICK_GRIDS),
+    ("D-9", -9.0, 2, 0.65, FULL_GRIDS),
+    ("D-9", -9.0, 10, 0.2, FULL_GRIDS),
+    ("D-2.5", -2.5, 2, 0.65, FULL_GRIDS),
+    ("D-2.5", -2.5, 5, 0.35, QUICK_GRIDS),
+    ("D-2.5", -2.5, 10, 0.5, QUICK_GRIDS),
+)
 
 
 def _random_case(rng):
@@ -78,6 +107,41 @@ def _cases():
                 cases[f"ebb-{scheduler}-H{hops}-d{index}"] = (
                     lambda ebb_args=ebb_args: e2e_delay_bound(
                         *ebb_args, backend="numpy"
+                    )
+                )
+    setting = paper_setting()
+    for label, delta, hops, utilization, grid in PAPER_LANES:
+        n_cross = setting.flows_for_utilization(utilization) - 100
+        args = (
+            setting.traffic, 100, n_cross, hops, setting.capacity, delta,
+            setting.epsilon,
+        )
+        cases[f"paper-{label}-H{hops}-u{utilization:g}-g{grid['s_grid']}"] = (
+            lambda args=args, grid=grid: e2e_delay_bound_mmoo(
+                *args, **grid, backend="numpy"
+            )
+        )
+    # the EDF cells of the quick Fig. 3 grid (example2.fig3_cell)
+    n_total = setting.flows_for_utilization(example2.TOTAL_UTILIZATION)
+    for variant, (w_through, w_cross) in example2.EDF_WEIGHTS.items():
+        for hops in example2.DEFAULT_HOPS:
+            for mix in example2.DEFAULT_MIXES:
+                n_cross = round(mix * n_total)
+                args = (
+                    setting.traffic, max(n_total - n_cross, 1), n_cross,
+                    hops, setting.capacity, setting.epsilon,
+                )
+                kwargs = dict(
+                    deadline_weight_through=w_through,
+                    deadline_weight_cross=w_cross,
+                    **QUICK_GRIDS,
+                    backend="numpy",
+                    on_nonconvergence="ignore",
+                )
+                name = f"fig3-{variant.replace(' ', '_')}-H{hops}-mix{mix:g}"
+                cases[name] = (
+                    lambda args=args, kwargs=kwargs: e2e_delay_bound_edf(
+                        *args, **kwargs
                     )
                 )
     rng = random.Random(1)
