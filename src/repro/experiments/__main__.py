@@ -62,6 +62,7 @@ from repro.experiments.validation import (
     validation_spec,
     validation_summary,
 )
+from repro.network import cprobe
 from repro.simulation.engine import ENGINES
 from repro.topology import ANALYZABLE_SCHEDULERS
 from repro.topology.scenarios import SCENARIOS
@@ -373,6 +374,7 @@ def _run(args) -> int:
             "full": args.full,
             "backend": args.backend,
             "trace": args.trace,
+            "probe_kernel": cprobe.probe_kernel(),
         }
         if args.command == "validation":
             meta["seed"] = args.seed

@@ -72,8 +72,6 @@ from repro.network.sensitivity import (
 )
 from repro.network.vectorized import (
     additive_delay_grid,
-    batched_solve_exact,
-    batched_theta_for_x,
     optimize_gamma_additive,
     solve_exact_fast,
 )
@@ -149,8 +147,6 @@ __all__ = [
     "is_superlinear",
     "check_backend",
     "additive_delay_grid",
-    "batched_solve_exact",
-    "batched_theta_for_x",
     "optimize_gamma_additive",
     "solve_exact_fast",
 ]

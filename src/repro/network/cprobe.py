@@ -3,8 +3,8 @@
 The lane engine of :mod:`repro.network.lanes` — the numpy bound search
 of every entry point — evaluates the scalar objective
 :func:`repro.network.vectorized._e2e_probe` tens of thousands of times
-per cell group: every golden-section refinement step of every
-(lane, s) search chain.  At that volume the
+per cell group: every gamma-grid point and every golden-section
+refinement step of every (lane, s) search chain.  At that volume the
 Python interpreter is the bottleneck, not the math.  This module emits a
 small C translation unit that mirrors the probe's floating-point
 expression trees *operation for operation* — the Eq. (33) sigma chain,
@@ -28,13 +28,14 @@ Compilation needs a C compiler (``cc``) on ``PATH``.  When compilation
 is impossible, :func:`available` is ``False`` and
 :func:`probe_values` / :func:`golden_values` transparently fall back to
 looping ``_e2e_probe`` (and :func:`repro.utils.numeric.golden_section_min`
-over it) in Python — identical results, just slower.  Every numpy bound
-search runs through the lane engine and hence through this module, so
-that fallback is the only place the Python probe still runs; a
-no-compiler test leg keeps it covered.  The shared object is cached in
-the system temp directory (or ``REPRO_CPROBE_DIR``) keyed by a hash of
-the C source, so the compiler runs once per source revision, not once
-per process.
+over it) in Python — identical results, several times slower;
+:func:`probe_kernel` names the kernel in use so the difference is
+visible.  Every numpy bound search runs through the lane engine and
+hence through this module, so that fallback is the only place the
+Python probe still runs; a no-compiler test leg keeps it covered.  The
+shared object is cached in the system temp directory (or
+``REPRO_CPROBE_DIR``) keyed by a hash of the C source, so the compiler
+runs once per source revision, not once per process.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from repro.arrivals.ebb import EBB
 
 __all__ = [
     "available",
+    "probe_kernel",
     "ProbeTable",
     "probe_values",
     "golden_values",
@@ -457,24 +459,29 @@ def _source_key() -> str:
 
 
 def _compile() -> ctypes.CDLL | None:
-    """Compile (or reuse) the kernel; ``None`` when no compiler works."""
+    """Compile (or reuse) the kernel; ``None`` when no compiler works.
+
+    Each compile works in its own temporary directory and publishes the
+    shared object with one atomic rename, so processes that compile
+    concurrently into the same cache directory never see each other's
+    partial files.
+    """
     cache_dir = os.environ.get("REPRO_CPROBE_DIR") or tempfile.gettempdir()
     so_path = os.path.join(cache_dir, f"repro_cprobe_{_source_key()}.so")
     if not os.path.exists(so_path):
-        src_path = os.path.join(
-            cache_dir, f"repro_cprobe_{_source_key()}.c"
-        )
         try:
-            with open(src_path, "w") as handle:
-                handle.write(_C_SOURCE)
-            tmp_so = so_path + f".tmp{os.getpid()}"
-            subprocess.run(
-                ["cc", *_STRICT_FLAGS, "-o", tmp_so, src_path, "-lm"],
-                check=True,
-                capture_output=True,
-                timeout=120,
-            )
-            os.replace(tmp_so, so_path)
+            with tempfile.TemporaryDirectory(dir=cache_dir) as build:
+                src_path = os.path.join(build, "repro_cprobe.c")
+                tmp_so = os.path.join(build, "repro_cprobe.so")
+                with open(src_path, "w") as handle:
+                    handle.write(_C_SOURCE)
+                subprocess.run(
+                    ["cc", *_STRICT_FLAGS, "-o", tmp_so, src_path, "-lm"],
+                    check=True,
+                    capture_output=True,
+                    timeout=120,
+                )
+                os.replace(tmp_so, so_path)
         except (OSError, subprocess.SubprocessError):
             return None
     try:
@@ -517,6 +524,12 @@ def _get_lib() -> ctypes.CDLL | None:
 def available() -> bool:
     """Whether the compiled kernel is usable in this environment."""
     return _get_lib() is not None
+
+
+def probe_kernel() -> str:
+    """``"c"`` when the compiled kernel evaluates the probes, ``"python"``
+    when they run on the (much slower) Python fallback."""
+    return "c" if available() else "python"
 
 
 class ProbeTable:

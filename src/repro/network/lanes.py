@@ -20,11 +20,10 @@ This module implements that as a tiny cooperative scheduler over
   behind ``grid_then_golden`` and ``golden_section_min`` — driven with
   engine requests, so each search loop exists once;
 * the engine gathers the pending requests of all live chains each
-  round and executes them together: scalar objective probes and whole
-  golden-section refinements go through the generated-C kernel of
-  :mod:`repro.network.cprobe` (one C call per kind for the whole
-  round), gamma-grid evaluations go through the row-stacked
-  :func:`repro.network.vectorized.e2e_delay_grid_rows`;
+  round and executes them together through the generated-C kernel of
+  :mod:`repro.network.cprobe`: objective probes — gamma-grid points
+  and refinement probes alike — in one ``probe_values`` call, whole
+  golden-section refinements in one ``golden_values`` call;
 * :func:`edf_bound_lanes` drives the whole grid's EDF deadline vector
   through one such engine pass per fixed-point iteration, with
   per-lane convergence masking: a converged lane stops spawning
@@ -35,16 +34,19 @@ This is *the* numpy search: ``backend="numpy"`` of
 :func:`~repro.network.e2e.e2e_delay_bound`,
 :func:`~repro.network.e2e.e2e_delay_bound_mmoo` and
 :func:`~repro.network.e2e.e2e_delay_bound_edf` runs a single-lane batch
-of this engine.  A numpy lane remembers the gamma its s-search found
-at each ``s`` and materializes the final bound with
-:func:`~repro.network.e2e.e2e_delay_bound_at_gamma` there.
+of this engine.  Both backends search gamma the same way, on probe
+values; they differ only in how a lane materializes the bound at the
+optimal ``s`` (:meth:`_Lane.at_s`): a numpy lane remembers the gamma
+its s-search found at each ``s`` and finishes with
+:func:`~repro.network.e2e.e2e_delay_bound_at_gamma` there, a scalar
+lane re-runs the scalar reference search.
 
 Bitwise contract
 ----------------
 A lane's results — bounds, gammas, iteration counts, residuals,
 convergence flags — do not depend on which other lanes share its
-batch: every kernel is elementwise or row-local.  Numpy lanes are
-pinned bit for bit by the frozen reference of
+batch: the kernel calls evaluate every request on its own.  Numpy
+lanes are pinned bit for bit by the frozen reference of
 ``tests/network/test_numpy_reference.py``; scalar lanes
 (``backend="scalar"``) equal the independent point-by-point search of
 :mod:`repro.network.e2e` bitwise, which the equivalence suite checks
@@ -59,8 +61,6 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
-
-import numpy as np
 
 from repro import obs
 from repro.arrivals.ebb import EBB
@@ -79,7 +79,6 @@ from repro.network.e2e import (
     mmoo_ebb_pair,
     report_nonconvergence,
 )
-from repro.network.vectorized import _delta_case, e2e_delay_grid_rows
 from repro.utils.numeric import (
     grid_then_golden_steps,
     refine_grid_steps,
@@ -132,25 +131,6 @@ class EDFLaneSpec:
     on_nonconvergence: NonConvergence = "warn"
 
 
-class _Ctx:
-    """One registered (lane, s) probe context."""
-
-    __slots__ = ("index", "through", "cross", "hops", "capacity", "delta",
-                 "epsilon", "gamma_grid", "backend")
-
-    def __init__(self, index, through, cross, hops, capacity, delta,
-                 epsilon, gamma_grid, backend):
-        self.index = index
-        self.through = through
-        self.cross = cross
-        self.hops = hops
-        self.capacity = capacity
-        self.delta = delta
-        self.epsilon = epsilon
-        self.gamma_grid = gamma_grid
-        self.backend = backend
-
-
 class _Lane:
     """Mutable per-lane state shared by the chains of one bound."""
 
@@ -161,7 +141,7 @@ class _Lane:
         self.spec = spec
         self.delta = delta
         self.table = table
-        self.gammas: dict[float, float] = {}  # s -> optimal gamma (numpy)
+        self.gammas: dict[float, float] = {}  # s -> optimal gamma
         self._s_max: float | None = None
 
     def s_max(self) -> float:
@@ -176,15 +156,12 @@ class _Lane:
             )
         return self._s_max
 
-    def register(self, through: EBB, cross: EBB) -> _Ctx:
+    def register(self, through: EBB, cross: EBB) -> int:
+        """Add the probe context of one ``s``; returns its table index."""
         spec = self.spec
-        index = self.table.add(
+        return self.table.add(
             through, cross, spec.hops, spec.capacity, self.delta,
             spec.epsilon,
-        )
-        return _Ctx(
-            index, through, cross, spec.hops, spec.capacity, self.delta,
-            spec.epsilon, spec.gamma_grid, spec.backend,
         )
 
     def at_s(self, s: float) -> E2EResult:
@@ -239,29 +216,26 @@ def _kernel_golden(index: int, low: float, high: float, *, tol: float):
     return x, f
 
 
-def _gamma_chain(ctx: _Ctx):
-    """The gamma search at one fixed ``s``.
+def _gamma_chain(index: int, headroom: float, hops: int, gamma_grid: int):
+    """The gamma search of probe context ``index`` (one fixed ``s``),
+    whose rate headroom is ``headroom``.
 
-    A log-spaced grid — one row-stacked numpy request on the numpy
-    backend, one scalar probe per point on the scalar backend (probe
-    values equal the scalar objective bitwise) — then
+    A log-spaced grid, one probe request per point (probe values equal
+    the scalar objective bitwise), then
     :func:`~repro.utils.numeric.refine_grid_steps` with its
     golden-section pass run in the kernel.  Returns
-    ``(gamma_best, delay_at_gamma_best)``.
+    ``(gamma_best, delay_at_gamma_best)``, the delay being the probe
+    value at ``gamma_best``.
     """
-    headroom = ctx.capacity - ctx.cross.rate - ctx.through.rate
-    gamma_max = headroom / (ctx.hops + 1)
+    gamma_max = headroom / (hops + 1)
     xs = search_grid(
-        gamma_max * 1e-6, gamma_max * (1.0 - 1e-9), ctx.gamma_grid,
+        gamma_max * 1e-6, gamma_max * (1.0 - 1e-9), gamma_grid,
         log_spaced=True,
     )
-    if ctx.backend == "numpy":
-        (fs,) = yield [("g", ctx, xs)]
-    else:
-        fs = yield [("p", ctx.index, x) for x in xs]
+    fs = yield [("p", index, x) for x in xs]
     return (
         yield from refine_grid_steps(
-            xs, fs, golden=functools.partial(_kernel_golden, ctx.index)
+            xs, fs, golden=functools.partial(_kernel_golden, index)
         )
     )
 
@@ -272,19 +246,13 @@ def _s_objective_chain(lane: _Lane, s: float):
     through, cross = mmoo_ebb_pair(
         spec.traffic, spec.n_through, spec.n_cross, s
     )
-    if spec.capacity - cross.rate - through.rate <= 0:
+    headroom = spec.capacity - cross.rate - through.rate
+    if headroom <= 0:
         return math.inf
-    ctx = lane.register(through, cross)
-    g_best, f_best = yield from _gamma_chain(ctx)
-    if spec.backend == "numpy":
-        # the objective is the probe at the optimum (a grid optimum holds
-        # the numpy grid value, which may sit ulps off the probe); the
-        # optimum is kept for materializing the bound at the final s
-        lane.gammas[s] = g_best
-        (value,) = yield [("p", ctx.index, g_best)]
-        return value
-    # scalar: at_s(s).delay re-evaluates the deterministic scalar
-    # objective at g_best — the same float the search already holds
+    g_best, f_best = yield from _gamma_chain(
+        lane.register(through, cross), headroom, spec.hops, spec.gamma_grid
+    )
+    lane.gammas[s] = g_best  # where a numpy lane's at_s materializes
     return f_best
 
 
@@ -323,15 +291,14 @@ class _Task:
 def _run_chains(table: cprobe.ProbeTable, chains: list) -> list:
     """Run top-level chains concurrently; returns their results in order.
 
-    Each engine round flushes every pending scalar probe as one batched
+    Each engine round flushes every pending probe as one batched
     :func:`repro.network.cprobe.probe_values` call and every pending
-    grid request as row-stacked :func:`e2e_delay_grid_rows` calls
-    (grouped by path length and Eq. (38) case).
+    golden-section refinement as one
+    :func:`repro.network.cprobe.golden_values` call.
     """
     results = [None] * len(chains)
     probe_reqs: list = []  # (task, slot, ctx_index, gamma)
     golden_reqs: list = []  # (task, slot, ctx_index, lo, hi)
-    grid_reqs: list = []  # (task, slot, ctx, xs)
     ready: deque = deque()
     rounds = 0
     n_probes = 0
@@ -368,8 +335,6 @@ def _run_chains(table: cprobe.ProbeTable, chains: list) -> list:
                 golden_reqs.append(
                     (task, slot, request[1], request[2], request[3])
                 )
-            elif kind == "g":
-                grid_reqs.append((task, slot, request[1], request[2]))
             else:  # "c": sub-chain
                 start(request[1], task, slot)
 
@@ -381,7 +346,7 @@ def _run_chains(table: cprobe.ProbeTable, chains: list) -> list:
             task = ready.popleft()
             values, task.values = task.values, None
             step(task, values)
-        if not probe_reqs and not golden_reqs and not grid_reqs:
+        if not probe_reqs and not golden_reqs:
             break
         rounds += 1
         if probe_reqs:
@@ -405,31 +370,6 @@ def _run_chains(table: cprobe.ProbeTable, chains: list) -> list:
             n_probes += len(batch)
             for (task, slot, _, _, _), x, f in zip(batch, out_x, out_f):
                 fulfill(task, slot, (float(x), float(f)))
-        if grid_reqs:
-            batch, grid_reqs = grid_reqs, []
-            groups: dict = {}
-            for item in batch:
-                ctx = item[2]
-                key = (
-                    ctx.hops,
-                    len(item[3]),
-                    _delta_case(ctx.delta),
-                    ctx.delta == 0.0,
-                )
-                groups.setdefault(key, []).append(item)
-            for (hops, _, _, _), items in groups.items():
-                ctxs = [item[2] for item in items]
-                rows = e2e_delay_grid_rows(
-                    [c.through for c in ctxs],
-                    [c.cross for c in ctxs],
-                    hops,
-                    ctxs[0].capacity,
-                    [c.delta for c in ctxs],
-                    ctxs[0].epsilon,
-                    np.asarray([item[3] for item in items]),
-                )
-                for (task, slot, _, _), row in zip(items, rows):
-                    fulfill(task, slot, row.tolist())
 
     if obs.enabled():
         obs.add("lanes.engine_rounds", rounds)
@@ -471,11 +411,10 @@ def optimal_gamma(
     (which checks its arguments and the rate headroom first)."""
     table = cprobe.ProbeTable()
     index = table.add(through, cross, hops, capacity, delta, epsilon)
-    ctx = _Ctx(
-        index, through, cross, hops, capacity, delta, epsilon, gamma_grid,
-        "numpy",
+    chain = _gamma_chain(
+        index, capacity - cross.rate - through.rate, hops, gamma_grid
     )
-    ((gamma, _),) = _run_chains(table, [_gamma_chain(ctx)])
+    ((gamma, _),) = _run_chains(table, [chain])
     return gamma
 
 

@@ -1,36 +1,34 @@
-"""Vectorized (numpy) kernels for the Section IV analytic bounds.
+"""Fast kernels for the Section IV analytic bounds.
 
 The scalar analysis stack evaluates the free-parameter search of the
 end-to-end bounds one probe at a time: for every candidate ``gamma`` (and
 ``s`` for MMOO workloads) it recomputes ``sigma`` from the combined
 bounding functions and solves the theta-optimization of Eq. (38) by
 enumerating O(H) breakpoints with O(H) work each — thousands of
-interpreter-level evaluations per curve point.  This module evaluates the
-same mathematics as array operations:
+interpreter-level evaluations per curve point.  This module holds the
+cheaper evaluations of the same mathematics:
 
-* :func:`batched_theta_for_x` / :func:`batched_solve_exact` — the Eq. (38)
-  case analysis and exact breakpoint minimization over a
-  ``(batch, candidates, hops)`` broadcast, so one call solves the
-  theta-optimization for a whole ``gamma`` grid at once;
-* :func:`e2e_delay_grid_rows` — the end-to-end objective over the
-  ``gamma`` grids of many lanes at once (the Eq. (33) sigma chain, then
-  closed forms for BMUX (Eq. (43)) and FIFO (Eq. (44)) or the batched
-  exact solve) — the grid stage of the lane engine of
-  :mod:`repro.network.lanes`, which is the numpy end-to-end search;
-* :func:`_e2e_probe` — the scalar probe of that objective at one
-  ``gamma``: the reference the generated C kernel of
-  :mod:`repro.network.cprobe` mirrors, and its no-compiler fallback;
+* :func:`_e2e_probe` — the end-to-end objective at one ``gamma``: the
+  Eq. (33) sigma chain, the closed forms for BMUX (Eq. (43)) and FIFO
+  (Eq. (44)), otherwise an O(H log H) slope sweep
+  (:func:`_sweep_homogeneous`).  It is the reference the generated C
+  kernel of :mod:`repro.network.cprobe` mirrors and that kernel's
+  no-compiler fallback; the lane engine of :mod:`repro.network.lanes`
+  (the numpy end-to-end search) evaluates every gamma-grid point and
+  refinement probe through that kernel;
+* :func:`e2e_delay_grid_rows` — the probe over the ``gamma`` grids of
+  many lanes at once, one :func:`repro.network.cprobe.probe_values`
+  call;
 * :func:`additive_delay_grid` / :func:`optimize_gamma_additive` — the
-  node-by-node additive bound's grid and grid-then-refine search;
+  node-by-node additive bound's numpy grid and grid-then-refine search;
 * :func:`solve_exact_fast` — a drop-in O(H log H) replacement for
-  :func:`~repro.network.optimization.solve_exact` built on a slope-sweep
-  over the sorted breakpoints (used by the backlog probes, where the
-  objective cannot be batched across ``gamma``).
+  :func:`~repro.network.optimization.solve_exact` built on the same
+  slope sweep over the sorted breakpoints (used by the backlog probes).
 
 Equivalence contract with the scalar path
 -----------------------------------------
 Every kernel mirrors the scalar code's floating-point expression trees
-(same operations, same association order, sequential hop sums), so grid
+(same operations, same association order, sequential hop sums), so
 values agree with the scalar objective to the last few ulps and the
 grid-then-refine searches follow the same trajectory as
 :func:`repro.utils.numeric.grid_then_golden` except at exact
@@ -52,8 +50,8 @@ import numpy as np
 
 from repro import obs
 from repro.arrivals.ebb import EBB
+from repro.network import cprobe
 from repro.network.optimization import (
-    _EPS,
     HopParameters,
     ThetaSolution,
     theta_for_x,
@@ -62,8 +60,6 @@ from repro.utils.numeric import refine_grid_minimum, safe_exp, search_grid
 from repro.utils.validation import check_non_negative
 
 __all__ = [
-    "batched_theta_for_x",
-    "batched_solve_exact",
     "e2e_delay_grid_rows",
     "additive_delay_grid",
     "optimize_gamma_additive",
@@ -75,222 +71,6 @@ __all__ = [
 #: drift (~H ulps) by a wide margin so the exact re-evaluation always sees
 #: the scalar argmin among its candidates.
 _SWEEP_WINDOW = 1e-9
-
-
-# --------------------------------------------------------------------- #
-# theta_for_x / solve_exact on arrays
-# --------------------------------------------------------------------- #
-
-
-def batched_theta_for_x(service_rates, cross_rates, deltas, sigmas, xs):
-    """Vectorized :func:`~repro.network.optimization.theta_for_x`.
-
-    All arguments broadcast together; the result has the broadcast shape.
-    Mirrors the scalar case analysis on ``Delta`` exactly (same
-    floating-point expressions), so matching cells agree bitwise up to
-    numpy/libm ulp differences.  Saturated cells (``R <= r`` with
-    ``Delta > -inf``) are *not* rejected here — callers mask them.
-    """
-    r_svc = np.asarray(service_rates, dtype=float)
-    r_cross = np.asarray(cross_rates, dtype=float)
-    delta = np.asarray(deltas, dtype=float)
-    sigma = np.asarray(sigmas, dtype=float)
-    x = np.asarray(xs, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _theta_kernel(r_svc, r_cross, delta, sigma, x)
-
-
-def _theta_kernel(r_svc, r_cross, delta, sigma, x):
-    """The Eq. (38) per-hop theta, elementwise (no errstate guard)."""
-    denom = r_svc - r_cross
-    is_ninf = np.isneginf(delta)
-    is_pinf = np.isposinf(delta)
-    is_le0 = (delta <= 0) & ~is_ninf
-    # delta <= 0: min(Delta, theta) = Delta, bracket clipped at zero
-    clipped = np.maximum(0.0, x + delta)
-    t_le0 = np.maximum(0.0, (sigma + r_cross * clipped) / r_svc - x)
-    # 0 < delta < inf: two branches, switch at theta = Delta
-    theta_low = (sigma - denom * x) / denom
-    theta_high = (sigma + r_cross * (x + delta)) / r_svc - x
-    t_mid = np.where(
-        theta_low <= delta,
-        np.maximum(0.0, theta_low),
-        np.maximum(theta_high, delta),
-    )
-    return np.select(
-        [is_ninf, is_pinf, is_le0],
-        [
-            np.maximum(0.0, sigma / r_svc - x),
-            np.maximum(0.0, sigma / denom - x),
-            t_le0,
-        ],
-        t_mid,
-    )
-
-
-def _delta_case(delta: float) -> str:
-    """Classify a scalar ``Delta`` into its Eq. (38) case."""
-    if math.isinf(delta):
-        return "pinf" if delta > 0 else "ninf"
-    return "le0" if delta <= 0 else "mid"
-
-
-def _theta_case_kernel(case, r_svc, r_cross, delta, sigma, x):
-    """`_theta_kernel` restricted to one known ``Delta`` case.
-
-    Same floating-point expressions as the matching `np.select` branch of
-    :func:`_theta_kernel`; skipping the other branches only avoids work.
-    ``case=None`` falls back to the general kernel.
-    """
-    if case is None:
-        return _theta_kernel(r_svc, r_cross, delta, sigma, x)
-    if case == "ninf":
-        return np.maximum(0.0, sigma / r_svc - x)
-    if case == "pinf":
-        return np.maximum(0.0, sigma / (r_svc - r_cross) - x)
-    if case == "le0":
-        clipped = np.maximum(0.0, x + delta)
-        return np.maximum(0.0, (sigma + r_cross * clipped) / r_svc - x)
-    denom = r_svc - r_cross
-    theta_low = (sigma - denom * x) / denom
-    theta_high = (sigma + r_cross * (x + delta)) / r_svc - x
-    return np.where(
-        theta_low <= delta,
-        np.maximum(0.0, theta_low),
-        np.maximum(theta_high, delta),
-    )
-
-
-def batched_solve_exact(service_rates, cross_rates, deltas, sigmas, *, case=None):
-    """Vectorized :func:`~repro.network.optimization.solve_exact`.
-
-    Parameters
-    ----------
-    service_rates:
-        ``(..., H)`` per-hop degraded link rates ``R_h``.
-    cross_rates, deltas:
-        Broadcastable to the shape of ``service_rates``.
-    sigmas:
-        ``(...)`` slack per batch lane.
-
-    Returns ``(delay, x, thetas)`` with shapes ``(...)``, ``(...)`` and
-    ``(..., H)``.  Each lane enumerates the same breakpoint candidate set
-    as the scalar solver ({0, every positive finite breakpoint, max+1})
-    in ascending order and takes the first minimum, so ``x`` matches the
-    scalar tie-breaking.  Lanes with a saturated hop (where the scalar
-    :class:`HopParameters` constructor raises) or non-finite ``sigma``
-    come back with ``delay = inf``.
-    """
-    r_svc = np.asarray(service_rates, dtype=float)
-    shape = r_svc.shape
-    if not shape:
-        raise ValueError("service_rates must have a trailing hop axis")
-    delta_in = np.asarray(deltas, dtype=float)
-    # scalar delta fixes the Eq. (38) case for every cell: skip the other
-    # branches entirely (the expressions are the same, so results match
-    # the general path bitwise).  Callers batching many lanes of a shared
-    # case but varying delta (the cross-cell EDF fixed point) pass `case`
-    # explicitly.
-    if case is None:
-        case = _delta_case(float(delta_in)) if delta_in.ndim == 0 else None
-    r_cross = np.broadcast_to(np.asarray(cross_rates, dtype=float), shape)
-    delta = np.broadcast_to(delta_in, shape)
-    sigma = np.broadcast_to(
-        np.asarray(sigmas, dtype=float), shape[:-1]
-    ).astype(float, copy=False)
-    lanes = int(np.prod(shape[:-1], dtype=int)) if shape[:-1] else 1
-    hops = shape[-1]
-    r_svc = r_svc.reshape(lanes, hops)
-    r_cross = r_cross.reshape(lanes, hops)
-    delta = delta.reshape(lanes, hops)
-    sig = sigma.reshape(lanes)
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sig1 = sig[:, None]
-        denom = r_svc - r_cross
-        is_ninf = np.isneginf(delta)
-        if case == "ninf":
-            bp = (sig1 / r_svc)[:, :, None]
-        elif case == "pinf":
-            bp = (sig1 / denom)[:, :, None]
-        elif case == "le0":
-            bp = np.stack(
-                [-delta, sig1 / r_svc, (sig1 + r_cross * delta) / denom],
-                axis=-1,
-            )
-        elif case == "mid":
-            bp = np.stack(
-                [
-                    sig1 / denom,
-                    sig1 / denom - delta,
-                    (sig1 + r_cross * (0.0 + delta)) / r_svc,
-                ],
-                axis=-1,
-            )
-        else:
-            is_pinf = np.isposinf(delta)
-            is_le0 = (delta <= 0) & ~is_ninf
-            is_mid = (delta > 0) & ~is_pinf
-            # the scalar _breakpoints_for_hop set, (lanes, hops, 3)
-            bp = np.full((lanes, hops, 3), np.nan)
-            bp[..., 0] = np.select(
-                [is_ninf, is_pinf, is_le0, is_mid],
-                [sig1 / r_svc, sig1 / denom, -delta, sig1 / denom],
-                np.nan,
-            )
-            bp[..., 1] = np.select(
-                [is_le0, is_mid], [sig1 / r_svc, sig1 / denom - delta], np.nan
-            )
-            bp[..., 2] = np.select(
-                [is_le0, is_mid],
-                [
-                    (sig1 + r_cross * delta) / denom,
-                    (sig1 + r_cross * (0.0 + delta)) / r_svc,
-                ],
-                np.nan,
-            )
-        n_bp = bp.shape[-1]
-        valid = np.isfinite(bp) & (bp > 0.0)
-        flat = np.where(valid, bp, 0.0).reshape(lanes, n_bp * hops)
-        upper = flat.max(axis=1) + 1.0
-        cand = np.concatenate(
-            [np.zeros((lanes, 1)), upper[:, None], flat], axis=1
-        )
-        cand.sort(axis=1)
-
-        theta = _theta_case_kernel(
-            case,
-            r_svc[:, None, :],
-            r_cross[:, None, :],
-            delta[:, None, :],
-            sig[:, None, None],
-            cand[:, :, None],
-        )
-        # accumulate hops sequentially to mirror the scalar sum() order
-        total = theta[:, :, 0].copy()
-        for h in range(1, hops):
-            total += theta[:, :, h]
-        dvals = cand + total
-        idx = np.argmin(np.where(np.isnan(dvals), np.inf, dvals), axis=1)
-        take = idx[:, None]
-        delay = np.take_along_axis(dvals, take, axis=1)[:, 0]
-        x_best = np.take_along_axis(cand, take, axis=1)[:, 0]
-        thetas = np.take_along_axis(theta, take[:, :, None], axis=1)[:, 0, :]
-
-        saturated = ((r_svc <= r_cross + _EPS) & ~is_ninf) | (r_svc <= 0.0)
-        bad = saturated.any(axis=1) | ~np.isfinite(sig) | (sig < 0.0)
-        delay = np.where(bad, np.inf, delay)
-
-    if obs.enabled():
-        obs.add("vectorized.solve_batches")
-        obs.add("vectorized.solve_lanes", lanes)
-        obs.add("vectorized.solve_saturated_lanes", int(bad.sum()))
-        obs.set_gauge("vectorized.solve_batch_shape", list(shape))
-    return (
-        delay.reshape(shape[:-1]),
-        x_best.reshape(shape[:-1]),
-        thetas.reshape(shape),
-    )
 
 
 # --------------------------------------------------------------------- #
@@ -672,29 +452,6 @@ def _fifo_closed_form(
     return total
 
 
-def _fifo_grid(
-    hops: int, capacity: float, rho_cross: float, g: np.ndarray, sigma
-) -> np.ndarray:
-    """Eq. (44) over a gamma grid (vector mirror of ``fifo_delay``)."""
-    h = np.arange(1, hops + 1, dtype=float)  # (H,)
-    r_svc = capacity - (h - 1.0) * g[:, None]  # (G, H)
-    r = (rho_cross + g)[:, None]
-    terms = (r_svc - r) / r_svc
-    tails = np.zeros((len(g), hops + 1))
-    tails[:, :-1] = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
-    k = np.argmax(tails < 1.0, axis=1)  # first K with tail < 1
-    denom = capacity - rho_cross - k * g
-    x = sigma / denom
-    beyond = h[None, :] > k[:, None]
-    contrib = np.where(
-        beyond, (h[None, :] - k[:, None]) * g[:, None] * x[:, None] / r_svc, 0.0
-    )
-    total = x + contrib.sum(axis=1)
-    total_k0 = (sigma[:, None] / r_svc).sum(axis=1)
-    delays = np.where(k == 0, total_k0, total)
-    return np.where(denom > 0.0, delays, np.inf)
-
-
 def e2e_delay_grid_rows(
     throughs: Sequence[EBB],
     crosses: Sequence[EBB],
@@ -708,93 +465,25 @@ def e2e_delay_grid_rows(
     over a ``(lanes, grid)`` array of ``gamma`` values, one lane per row.
 
     Row ``i`` evaluates ``throughs[i]``/``crosses[i]``/``deltas[i]`` over
-    ``gammas[i]``; every kernel expression is elementwise (or row-local,
-    for the candidate solves), so a row's values do not depend on the
-    rows stacked with it.  Infeasible points (Eq. (32) violated,
-    ``sigma`` underflow) are ``inf``, matching the scalar
-    ``_INFEASIBLE`` convention.  BMUX and FIFO take the closed forms
-    Eq. (43)/(44); other ``Delta`` go through
-    :func:`batched_solve_exact`.  All ``deltas`` must fall in the same
-    Eq. (38) case (the lane engine groups requests accordingly);
-    ``hops``, ``capacity`` and ``epsilon`` are shared across the stack.
+    ``gammas[i]`` with the probe kernel of :mod:`repro.network.cprobe`
+    (one batched call; :func:`_e2e_probe` without a C compiler), so every
+    value is the probe bitwise and independent of the rows stacked with
+    it.  Infeasible points (Eq. (32) violated, ``sigma`` underflow) are
+    ``inf``, matching the scalar ``_INFEASIBLE`` convention.
     """
     g = np.asarray(gammas, dtype=float)
     if g.ndim != 2:
         raise ValueError("gammas must be (lanes, grid)")
     lanes, grid = g.shape
-    delta_row = np.asarray(deltas, dtype=float)
-    case = _delta_case(float(delta_row[0]))
-    if any(_delta_case(float(d)) != case for d in delta_row[1:]):
-        raise ValueError("all deltas must share one Eq. (38) case")
-    tp = np.array([t.prefactor for t in throughs])[:, None]
-    td = np.array([t.decay for t in throughs])[:, None]
-    tr = np.array([t.rate for t in throughs])[:, None]
-    cp = np.array([c.prefactor for c in crosses])[:, None]
-    cd = np.array([c.decay for c in crosses])[:, None]
-    cr = np.array([c.rate for c in crosses])[:, None]
-
-    feasible = (hops + 1) * g < (capacity - cr) - tr
-    # sigma: the Eq. (33) chain of `_sigma_fast` with per-row EBB
-    # constants.  The scalar `w` accumulation stays a scalar loop per row
-    # (same floats).
-    w_rows = np.empty((lanes, 1))
-    for i, (t, c) in enumerate(zip(throughs, crosses)):
-        w = 1.0 / t.decay
-        for _ in range(hops):
-            w += 1.0 / c.decay
-        w_rows[i, 0] = w
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        geo_t = -np.expm1(-td * g)
-        geo_c = -np.expm1(-cd * g)
-        log_m = np.log(w_rows) + np.log((tp / geo_t) * td) / (td * w_rows)
-        last = cp / geo_c
-        inflated = last / geo_c
-        term_inflated = np.log(inflated * cd) / (cd * w_rows)
-        for _ in range(hops - 1):
-            log_m = log_m + term_inflated
-        log_m = log_m + np.log(last * cd) / (cd * w_rows)
-        prefactor = np.exp(log_m)
-        alpha = 1.0 / w_rows
-        sigma = np.maximum(0.0, np.log(prefactor / epsilon) / alpha)
-        sigma = np.where((geo_t <= 0.0) | (geo_c <= 0.0), np.inf, sigma)
-
-        any_zero = bool(np.any(delta_row == 0.0))
-        if any_zero and not np.all(delta_row == 0.0):
-            # the scalar path dispatches delta == 0 to the Eq. (44)
-            # closed form; mixing it with the exact solve would break
-            # the bitwise contract for the zero rows
-            raise ValueError("cannot mix delta == 0 with other deltas")
-        if case == "pinf":
-            denom = (capacity - (hops - 1) * g) - (cr + g)
-            delays = np.where(denom > 0.0, sigma / denom, np.inf)
-        elif any_zero:
-            delays = _fifo_grid(
-                hops,
-                capacity,
-                np.repeat(cr[:, 0], grid),
-                g.reshape(lanes * grid),
-                sigma.reshape(lanes * grid),
-            ).reshape(lanes, grid)
-        else:
-            h_index = np.arange(hops, dtype=float)
-            g_flat = g.reshape(lanes * grid)
-            r_svc = capacity - h_index[None, :] * g_flat[:, None]
-            r_cross = (cr + g).reshape(lanes * grid)[:, None]
-            d_flat = np.repeat(delta_row, grid)[:, None]
-            delays, _, _ = batched_solve_exact(
-                r_svc,
-                r_cross,
-                np.broadcast_to(d_flat, r_svc.shape),
-                sigma.reshape(lanes * grid),
-                case=case,
-            )
-            delays = delays.reshape(lanes, grid)
-        delays = np.where(feasible & np.isfinite(sigma), delays, np.inf)
-    if obs.enabled():
-        obs.add("vectorized.grid_row_calls")
-        obs.add("vectorized.grid_row_lanes", lanes)
-        obs.add("vectorized.grid_points", int(g.size))
-    return delays
+    table = cprobe.ProbeTable()
+    indices = [
+        table.add(through, cross, hops, capacity, delta, epsilon)
+        for through, cross, delta in zip(throughs, crosses, deltas)
+    ]
+    values = cprobe.probe_values(
+        table, [i for i in indices for _ in range(grid)], g.ravel().tolist()
+    )
+    return values.reshape(lanes, grid)
 
 
 def _e2e_probe(

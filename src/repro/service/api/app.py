@@ -27,6 +27,7 @@ from typing import Any, Awaitable, Callable
 
 from repro.experiments.batch import MAX_LANES
 from repro.experiments.cache import DEFAULT_CACHE_DIR, CellCache
+from repro.network import cprobe
 from repro.obs import MetricsRegistry
 from repro.service.api.coalescer import DEFAULT_WINDOW_S, BatchCoalescer
 from repro.service.api.lru import LRUCache
@@ -180,6 +181,7 @@ class BoundService:
             "uptime_s": time.time() - self._started_at,
             "lru_entries": len(self.lru),
             "inflight": self._inflight,
+            "probe_kernel": cprobe.probe_kernel(),
         }
 
     def metrics(self) -> dict[str, Any]:

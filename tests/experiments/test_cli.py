@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.experiments.__main__ import build_parser, main
+from repro.network import cprobe
 
 
 class TestParser:
@@ -133,6 +134,28 @@ class TestMain:
         for cell in artifact["cells"]:
             assert cell["wall_time_s"] >= 0.0
             assert "key" in cell and "params" in cell
+
+    def test_json_artifact_names_the_probe_kernel(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def run(name):
+            json_path = tmp_path / f"{name}.json"
+            rc = main(
+                [
+                    "fig2", "--hops", "2", "--utilizations", "0.4",
+                    "--json", str(json_path), "--no-cache",
+                ]
+            )
+            assert rc == 0
+            return json.loads(json_path.read_text())
+
+        compiled = run("compiled")
+        assert compiled["meta"]["probe_kernel"] == cprobe.probe_kernel()
+        # without the compiled kernel: same rows, and the artifact says so
+        monkeypatch.setattr(cprobe, "_get_lib", lambda: None)
+        fallback = run("fallback")
+        assert fallback["meta"]["probe_kernel"] == "python"
+        assert fallback["rows"] == compiled["rows"]
 
     def test_validation_artifact_records_trial_seeds(self, capsys, tmp_path):
         from repro.simulation.engine import spawn_trial_seeds

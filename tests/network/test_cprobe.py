@@ -13,7 +13,11 @@ actually present so CI notices a silently broken toolchain.
 """
 
 import math
+import os
 import random
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -140,3 +144,43 @@ def test_probe_every_delta_case(delta):
         assert value == _e2e_probe(
             through, cross, 10, 100.0, delta, 1e-9, gamma
         )
+
+
+_COLD_START = """
+import sys
+from repro.network import cprobe
+print("ready", flush=True)
+sys.stdin.readline()
+print(cprobe.available(), flush=True)
+"""
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
+def test_concurrent_cold_compiles_all_succeed(tmp_path):
+    """Processes compiling into one fresh cache directory at the same
+    time must all end up with the compiled kernel, not the fallback."""
+    env = {
+        **os.environ,
+        "REPRO_CPROBE_DIR": str(tmp_path),
+        "PYTHONPATH": os.pathsep.join(sys.path),
+    }
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _COLD_START],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env,
+        )
+        for _ in range(3)
+    ]
+    try:
+        for proc in procs:  # every process is up before any compiles
+            assert proc.stdout.readline().strip() == "ready"
+        for proc in procs:
+            proc.stdin.write("go\n")
+            proc.stdin.flush()
+        outputs = [proc.communicate(timeout=120)[0] for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+    assert [out.strip() for out in outputs] == ["True"] * len(procs)
+    # the shared object is the only file left behind
+    assert [p.suffix for p in tmp_path.iterdir()] == [".so"]

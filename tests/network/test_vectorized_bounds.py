@@ -24,19 +24,14 @@ from repro.network.e2e import (
     e2e_delay_bound_mmoo,
     sigma_for_epsilon,
 )
-from repro.network.optimization import (
-    HopParameters,
-    solve_exact,
-    theta_for_x,
-)
+from repro.network.optimization import HopParameters, solve_exact
 from repro.network.pernode import (
     additive_pernode_delay_bound,
     additive_pernode_delay_bound_mmoo,
 )
 from repro.network.vectorized import (
+    _e2e_probe,
     _sigma_fast,
-    batched_solve_exact,
-    batched_theta_for_x,
     e2e_delay_grid_rows,
     solve_exact_fast,
 )
@@ -71,64 +66,6 @@ def random_hops(
         )
         for _ in range(hops)
     ]
-
-
-class TestBatchedThetaForX:
-    def test_matches_scalar_on_all_cases(self):
-        rng = random.Random(101)
-        for delta in DELTA_CASES:
-            hops = [random_hops(rng, 8, delta) for _ in range(16)]
-            sigmas = [rng.choice([0.0, rng.uniform(0.01, 40.0)]) for _ in hops]
-            xs = [rng.choice([0.0, rng.uniform(0.0, 10.0)]) for _ in hops]
-            batched = batched_theta_for_x(
-                np.array([[h.service_rate for h in lane] for lane in hops]),
-                np.array([[h.cross_rate for h in lane] for lane in hops]),
-                delta,
-                np.array(sigmas)[:, None],
-                np.array(xs)[:, None],
-            )
-            for i, lane in enumerate(hops):
-                for j, hop in enumerate(lane):
-                    expected = theta_for_x(hop, sigmas[i], xs[i])
-                    assert batched[i, j] == expected, (delta, i, j)
-
-    def test_broadcasts(self):
-        out = batched_theta_for_x(10.0, 2.0, 0.0, [[1.0], [2.0]], [0.0, 1.0])
-        assert out.shape == (2, 2)
-
-
-class TestBatchedSolveExact:
-    def test_matches_scalar_over_random_grid(self):
-        rng = random.Random(202)
-        for delta in DELTA_CASES:
-            for _ in range(25):
-                h = rng.randint(1, 32)
-                lane = random_hops(rng, h, delta)
-                sigma = rng.choice([0.0, rng.uniform(0.01, 60.0)])
-                delay, x, thetas = batched_solve_exact(
-                    np.array([h.service_rate for h in lane]),
-                    np.array([h.cross_rate for h in lane]),
-                    delta,
-                    sigma,
-                )
-                expected = solve_exact(lane, sigma)
-                assert rel_diff(float(delay), expected.delay) <= REL_TOL
-                assert rel_diff(float(x), expected.x) <= REL_TOL
-
-    def test_saturated_lane_is_inf(self):
-        # scalar HopParameters raises on R <= r; the kernel masks to inf
-        delay, _, _ = batched_solve_exact(
-            np.array([[10.0, 5.0]]), np.array([[2.0, 5.0]]), 0.0, [1.0]
-        )
-        assert math.isinf(float(delay[0]))
-        with pytest.raises(ValueError):
-            HopParameters(service_rate=5.0, cross_rate=5.0, delta=0.0)
-
-    def test_negative_sigma_lane_is_inf(self):
-        delay, _, _ = batched_solve_exact(
-            np.array([[10.0]]), np.array([[2.0]]), 0.0, [-1.0]
-        )
-        assert math.isinf(float(delay[0]))
 
 
 class TestSolveExactFast:
@@ -202,6 +139,36 @@ class TestE2EGridAgainstScalar:
                     through, cross, hops, capacity, delta, 1e-9, float(g)
                 ).delay
                 assert rel_diff(float(got), expected) <= REL_TOL, (delta, g)
+
+    def test_stacked_rows_are_the_probe_bitwise(self):
+        # rows of every Delta case in one call; each value is the probe
+        rng = random.Random(505)
+        capacity, hops = 40.0, 6
+        throughs, crosses, rows = [], [], []
+        for _ in DELTA_CASES:
+            through = EBB(rng.uniform(1.0, 5.0), rng.uniform(1.0, 3.0), 1.1)
+            cross = EBB(rng.uniform(1.0, 5.0), rng.uniform(2.0, 6.0), 0.9)
+            gmax = (capacity - cross.rate - through.rate) / (hops + 1)
+            throughs.append(through)
+            crosses.append(cross)
+            rows.append([rng.uniform(gmax * 1e-5, gmax * 1.2) for _ in range(7)])
+        grid = e2e_delay_grid_rows(
+            throughs, crosses, hops, capacity, DELTA_CASES, 1e-9,
+            np.asarray(rows),
+        )
+        assert grid.shape == (len(DELTA_CASES), 7)
+        for i, delta in enumerate(DELTA_CASES):
+            for g, got in zip(rows[i], grid[i]):
+                assert float(got) == _e2e_probe(
+                    throughs[i], crosses[i], hops, capacity, delta, 1e-9, g
+                ), (delta, g)
+
+    def test_rejects_a_flat_grid(self):
+        with pytest.raises(ValueError, match="lanes, grid"):
+            e2e_delay_grid_rows(
+                [EBB(3.0, 2.0, 1.1)], [EBB(4.0, 5.0, 0.9)], 2, 40.0, [0.0],
+                1e-9, [0.1, 0.2],
+            )
 
     def test_infeasible_cells_are_inf_on_both_paths(self):
         through = EBB(3.0, 2.0, 1.1)

@@ -84,9 +84,10 @@ class TestEDFFixedPointTrace:
 
     def test_optimizer_counters_accumulate(self, traced):
         edf_bound()
-        assert traced.counter("lanes.engine_probes") > 0
-        assert traced.counter("vectorized.grid_points") > 0
-        assert traced.counter("vectorized.solve_lanes") > 0
+        rounds = traced.counter("lanes.engine_rounds")
+        assert rounds > 0
+        # every engine round flushes at least one probe request
+        assert traced.counter("lanes.engine_probes") >= rounds
         with obs.scoped(enabled=True) as scalar:
             edf_bound("scalar")
         assert scalar.counter("numeric.golden_calls") > 0

@@ -11,6 +11,7 @@ import socket
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.network import cprobe
 from repro.service.api.client import ServiceError
 
 from tests.service.api.util import CHEAP_QUERY
@@ -21,6 +22,14 @@ def test_healthz(harness):
         health = client.healthz()
     assert health["status"] == "ok"
     assert health["uptime_s"] >= 0.0
+
+
+def test_healthz_names_the_probe_kernel(harness, monkeypatch):
+    with harness.client() as client:
+        compiled = client.healthz()["probe_kernel"]
+        assert compiled == ("c" if cprobe.available() else "python")
+        monkeypatch.setattr(cprobe, "available", lambda: False)
+        assert client.healthz()["probe_kernel"] == "python"
 
 
 def test_bounds_and_admissible_roundtrip(harness):
