@@ -22,7 +22,10 @@ full grid metadata, per-cell wall-clock, and diagnostics.
 (:mod:`repro.obs`) for the run: hierarchical span timers, optimizer and
 cache counters, and per-cell runtime/queue-wait series are collected —
 including inside pool workers, whose snapshots are merged after the
-join — and embedded in the JSON artifact under ``"metrics"``.
+join — and embedded in the JSON artifact under ``"metrics"``.  A short
+summary prints as ``[trace]`` lines: cache hits, misses, corrupt
+entries and failed writes, EDF iterations, and the probe kernel in use
+(``c``, or the much slower ``python`` fallback without a compiler).
 """
 
 from __future__ import annotations
@@ -358,13 +361,17 @@ def _run(args) -> int:
         registry = obs.active()
         hits = registry.counter("cache.hits")
         misses = registry.counter("cache.misses")
+        corrupt = registry.counter("cache.corrupt")
+        put_errors = registry.counter("cache.put_errors")
         edf_iterations = registry.counter("e2e.edf_iterations") + sum(
             registry.series("lanes.edf_lane_iterations")
         )
         print(
-            f"[trace] cache hits={hits:.0f} misses={misses:.0f}, "
+            f"[trace] cache hits={hits:.0f} misses={misses:.0f} "
+            f"corrupt={corrupt:.0f} put errors={put_errors:.0f}, "
             f"edf fixed-point iterations={edf_iterations:.0f}"
         )
+        print(f"[trace] probe kernel={cprobe.probe_kernel()}")
         if args.batch:
             print(_format_batch_trace(registry))
     if args.json:

@@ -7,23 +7,23 @@ grid-then-golden search over ``gamma``, each probe of which solves the
 Eq. (38) theta optimization.  Per cell that is tens of thousands of
 *sequential* scalar probes.  Across a sweep grid, however, the cells
 are independent — so the searches of many cells can advance in
-lockstep, pooling every pending probe of every cell into one batched
-kernel call per engine round.
+lockstep, pooling every pending ``(lane, s)`` point of every cell into
+one batched kernel call per engine round.
 
-This module implements that as a tiny cooperative scheduler over
-*search chains*:
+This module implements that as a tiny round-based scheduler over
+*s-search chains*:
 
-* a chain is a Python generator that yields its probe requests
-  instead of evaluating them.  The s-search and the gamma refinement
-  are the search generators of :mod:`repro.utils.numeric`
-  (``grid_then_golden_steps``, ``refine_grid_steps``) — the very loops
-  behind ``grid_then_golden`` and ``golden_section_min`` — driven with
-  engine requests, so each search loop exists once;
-* the engine gathers the pending requests of all live chains each
-  round and executes them together through the generated-C kernel of
-  :mod:`repro.network.cprobe`: objective probes — gamma-grid points
-  and refinement probes alike — in one ``probe_values`` call, whole
-  golden-section refinements in one ``golden_values`` call;
+* a chain is the s-search of one lane, the generator
+  :func:`~repro.utils.numeric.grid_then_golden_steps` of
+  :mod:`repro.utils.numeric` — the very loop behind
+  ``grid_then_golden`` — which yields its ``s`` points instead of
+  evaluating them, so the loop exists once;
+* the engine gathers the pending ``s`` points of all live chains each
+  round and evaluates them in one
+  :func:`repro.network.cprobe.mmoo_gamma_values` call: the generated-C
+  kernel builds each lane's EBB pair at ``s`` and runs its whole gamma
+  search (log grid, first argmin, golden-section refinement) in C, so
+  one ``(lane, s)`` point is one kernel request;
 * :func:`edf_bound_lanes` drives the whole grid's EDF deadline vector
   through one such engine pass per fixed-point iteration, with
   per-lane convergence masking: a converged lane stops spawning
@@ -34,10 +34,11 @@ This is *the* numpy search: ``backend="numpy"`` of
 :func:`~repro.network.e2e.e2e_delay_bound`,
 :func:`~repro.network.e2e.e2e_delay_bound_mmoo` and
 :func:`~repro.network.e2e.e2e_delay_bound_edf` runs a single-lane batch
-of this engine.  Both backends search gamma the same way, on probe
-values; they differ only in how a lane materializes the bound at the
-optimal ``s`` (:meth:`_Lane.at_s`): a numpy lane remembers the gamma
-its s-search found at each ``s`` and finishes with
+of this engine (:func:`optimal_gamma` is the single gamma search of a
+fixed EBB pair).  Both backends search the same way, on probe values;
+they differ only in how a lane materializes the bound at the optimal
+``s`` (:meth:`_Lane.at_s`): a numpy lane remembers the gamma the kernel
+found at each ``s`` and finishes with
 :func:`~repro.network.e2e.e2e_delay_bound_at_gamma` there, a scalar
 lane re-runs the scalar reference search.
 
@@ -55,10 +56,8 @@ per scheduler and path length.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -79,11 +78,7 @@ from repro.network.e2e import (
     mmoo_ebb_pair,
     report_nonconvergence,
 )
-from repro.utils.numeric import (
-    grid_then_golden_steps,
-    refine_grid_steps,
-    search_grid,
-)
+from repro.utils.numeric import grid_then_golden_steps
 from repro.utils.validation import check_int, check_positive, check_probability
 
 __all__ = [
@@ -132,15 +127,19 @@ class EDFLaneSpec:
 
 
 class _Lane:
-    """Mutable per-lane state shared by the chains of one bound."""
+    """Mutable per-lane state: the lane's row in the kernel's lane table
+    and the gamma its s-search found at each ``s``."""
 
-    __slots__ = ("spec", "delta", "table", "gammas", "_s_max")
+    __slots__ = ("spec", "delta", "index", "gammas", "_s_max")
 
     def __init__(self, spec: LaneSpec | EDFLaneSpec, delta: float,
-                 table: cprobe.ProbeTable):
+                 table: cprobe.LaneTable):
         self.spec = spec
         self.delta = delta
-        self.table = table
+        self.index = table.add(
+            spec.traffic, spec.n_through, spec.n_cross, spec.hops,
+            spec.capacity, delta, spec.epsilon, spec.gamma_grid,
+        )
         self.gammas: dict[float, float] = {}  # s -> optimal gamma
         self._s_max: float | None = None
 
@@ -155,14 +154,6 @@ class _Lane:
                 spec.capacity,
             )
         return self._s_max
-
-    def register(self, through: EBB, cross: EBB) -> int:
-        """Add the probe context of one ``s``; returns its table index."""
-        spec = self.spec
-        return self.table.add(
-            through, cross, spec.hops, spec.capacity, self.delta,
-            spec.epsilon,
-        )
 
     def at_s(self, s: float) -> E2EResult:
         """Materialize the bound at the optimal ``s``.
@@ -191,191 +182,72 @@ class _Lane:
 
 
 # --------------------------------------------------------------------- #
-# search chains: the numeric search generators, driven with engine requests
+# the engine: run s-search chains, one kernel request per (lane, s)
 # --------------------------------------------------------------------- #
 
 
-def _requests(steps, request):
-    """Drive a :mod:`repro.utils.numeric` search generator through the
-    engine: each probe point ``x`` it yields becomes ``request(x)``."""
-    values = None
-    while True:
-        try:
-            points = steps.send(values)
-        except StopIteration as stop:
-            return stop.value
-        values = yield [request(x) for x in points]
-
-
-def _kernel_golden(index: int, low: float, high: float, *, tol: float):
-    """The golden-section pass of :func:`refine_grid_steps` as one
-    in-kernel request (:func:`repro.network.cprobe.golden_values` runs
-    :func:`~repro.utils.numeric.golden_section_min` at its default
-    ``tol``, the one ``refine_grid_steps`` passes here)."""
-    ((x, f),) = yield [("go", index, low, high)]
-    return x, f
-
-
-def _gamma_chain(index: int, headroom: float, hops: int, gamma_grid: int):
-    """The gamma search of probe context ``index`` (one fixed ``s``),
-    whose rate headroom is ``headroom``.
-
-    A log-spaced grid, one probe request per point (probe values equal
-    the scalar objective bitwise), then
-    :func:`~repro.utils.numeric.refine_grid_steps` with its
-    golden-section pass run in the kernel.  Returns
-    ``(gamma_best, delay_at_gamma_best)``, the delay being the probe
-    value at ``gamma_best``.
-    """
-    gamma_max = headroom / (hops + 1)
-    xs = search_grid(
-        gamma_max * 1e-6, gamma_max * (1.0 - 1e-9), gamma_grid,
-        log_spaced=True,
-    )
-    fs = yield [("p", index, x) for x in xs]
-    return (
-        yield from refine_grid_steps(
-            xs, fs, golden=functools.partial(_kernel_golden, index)
-        )
-    )
-
-
-def _s_objective_chain(lane: _Lane, s: float):
-    """The mmoo ``s``-search objective at one ``s``."""
-    spec = lane.spec
-    through, cross = mmoo_ebb_pair(
-        spec.traffic, spec.n_through, spec.n_cross, s
-    )
-    headroom = spec.capacity - cross.rate - through.rate
-    if headroom <= 0:
-        return math.inf
-    g_best, f_best = yield from _gamma_chain(
-        lane.register(through, cross), headroom, spec.hops, spec.gamma_grid
-    )
-    lane.gammas[s] = g_best  # where a numpy lane's at_s materializes
-    return f_best
-
-
 def _mmoo_chain(lane: _Lane):
-    """The (s, gamma) search of one mmoo bound."""
+    """The s-search of one mmoo bound; yields lists of ``s`` points,
+    is sent their objective values (the optimal delay over gamma)."""
     spec = lane.spec
     if (spec.n_through + spec.n_cross) * spec.traffic.mean_rate >= spec.capacity:
         return _INFEASIBLE
     s_max = lane.s_max()
-    steps = grid_then_golden_steps(
+    s_best, _ = yield from grid_then_golden_steps(
         s_max * 1e-4, s_max * (1.0 - 1e-9),
         grid_points=spec.s_grid, log_spaced=True,
-    )
-    s_best, _ = yield from _requests(
-        steps, lambda s: ("c", _s_objective_chain(lane, s))
     )
     return lane.at_s(s_best)
 
 
-# --------------------------------------------------------------------- #
-# the engine: run chains to completion, batching their probe requests
-# --------------------------------------------------------------------- #
+def _run_lanes(table: cprobe.LaneTable, lanes: list[_Lane]) -> list:
+    """Run the lanes' s-searches concurrently; returns their results in
+    order.
 
-
-class _Task:
-    __slots__ = ("gen", "values", "pending", "parent", "slot")
-
-    def __init__(self, gen, parent, slot):
-        self.gen = gen
-        self.values = None
-        self.pending = 0
-        self.parent = parent
-        self.slot = slot
-
-
-def _run_chains(table: cprobe.ProbeTable, chains: list) -> list:
-    """Run top-level chains concurrently; returns their results in order.
-
-    Each engine round flushes every pending probe as one batched
-    :func:`repro.network.cprobe.probe_values` call and every pending
-    golden-section refinement as one
-    :func:`repro.network.cprobe.golden_values` call.
+    Each engine round evaluates every pending ``(lane, s)`` point in
+    one :func:`repro.network.cprobe.mmoo_gamma_values` call and keeps
+    the gamma found at each ``s`` for :meth:`_Lane.at_s`.
     """
-    results = [None] * len(chains)
-    probe_reqs: list = []  # (task, slot, ctx_index, gamma)
-    golden_reqs: list = []  # (task, slot, ctx_index, lo, hi)
-    ready: deque = deque()
-    rounds = 0
-    n_probes = 0
+    results: list = [None] * len(lanes)
+    pending: list = []  # (slot, lane, chain, s points)
 
-    def deliver(task, value):
-        parent = task.parent
-        if parent is None:
-            results[task.slot] = value
-        else:
-            fulfill(parent, task.slot, value)
-
-    def fulfill(task, slot, value):
-        task.values[slot] = value
-        task.pending -= 1
-        if task.pending == 0:
-            ready.append(task)
-
-    def start(gen, parent, slot):
-        step(_Task(gen, parent, slot), None)
-
-    def step(task, send_values):
+    def step(slot, lane, chain, values):
         try:
-            requests = task.gen.send(send_values)
+            points = chain.send(values)
         except StopIteration as stop:
-            deliver(task, stop.value)
+            results[slot] = stop.value
             return
-        task.values = [None] * len(requests)
-        task.pending = len(requests)
-        for slot, request in enumerate(requests):
-            kind = request[0]
-            if kind == "p":
-                probe_reqs.append((task, slot, request[1], request[2]))
-            elif kind == "go":
-                golden_reqs.append(
-                    (task, slot, request[1], request[2], request[3])
-                )
-            else:  # "c": sub-chain
-                start(request[1], task, slot)
+        pending.append((slot, lane, chain, points))
 
-    for slot, gen in enumerate(chains):
-        start(gen, None, slot)
-
-    while True:
-        while ready:
-            task = ready.popleft()
-            values, task.values = task.values, None
-            step(task, values)
-        if not probe_reqs and not golden_reqs:
-            break
+    for slot, lane in enumerate(lanes):
+        step(slot, lane, _mmoo_chain(lane), None)
+    rounds = 0
+    requests = 0
+    while pending:
+        batch, pending = pending, []
+        gammas, delays = cprobe.mmoo_gamma_values(
+            table,
+            [lane.index for _, lane, _, points in batch for _ in points],
+            [s for _, _, _, points in batch for s in points],
+        )
+        gammas, delays = gammas.tolist(), delays.tolist()
         rounds += 1
-        if probe_reqs:
-            batch, probe_reqs = probe_reqs, []
-            out = cprobe.probe_values(
-                table,
-                [b[2] for b in batch],
-                [b[3] for b in batch],
-            )
-            n_probes += len(batch)
-            for (task, slot, _, _), value in zip(batch, out):
-                fulfill(task, slot, float(value))
-        if golden_reqs:
-            batch, golden_reqs = golden_reqs, []
-            out_x, out_f = cprobe.golden_values(
-                table,
-                [b[2] for b in batch],
-                [b[3] for b in batch],
-                [b[4] for b in batch],
-            )
-            n_probes += len(batch)
-            for (task, slot, _, _, _), x, f in zip(batch, out_x, out_f):
-                fulfill(task, slot, (float(x), float(f)))
+        pos = 0
+        for slot, lane, chain, points in batch:
+            end = pos + len(points)
+            for s, gamma in zip(points, gammas[pos:end]):
+                if not math.isnan(gamma):  # NaN: no headroom, not searched
+                    lane.gammas[s] = gamma
+            values, pos = delays[pos:end], end
+            step(slot, lane, chain, values)
+        requests += pos
 
     if obs.enabled():
         obs.add("lanes.engine_rounds", rounds)
-        obs.add("lanes.engine_probes", n_probes)
+        # one kernel request per (lane, s) point
+        obs.add("lanes.engine_probes", requests)
         if rounds:
-            obs.observe("lanes.round_occupancy", n_probes / rounds)
+            obs.observe("lanes.round_occupancy", requests / rounds)
     return results
 
 
@@ -384,7 +256,18 @@ def _run_chains(table: cprobe.ProbeTable, chains: list) -> list:
 # --------------------------------------------------------------------- #
 
 
+def _check_grid(points: int, field: str) -> int:
+    """A search grid needs a bracket around its best point; checked
+    here because the kernel runs the gamma grid out of Python's sight."""
+    points = check_int(points, field)
+    if points < 3:
+        raise ValueError(f"{field}: grid_points must be >= 3, got {points}")
+    return points
+
+
 def _check_lane(spec: LaneSpec | EDFLaneSpec) -> None:
+    _check_grid(spec.s_grid, "s_grid")
+    _check_grid(spec.gamma_grid, "gamma_grid")
     check_int(spec.n_through, "n_through", minimum=1)
     check_int(spec.n_cross, "n_cross", minimum=0)
     check_int(spec.hops, "hops", minimum=1)
@@ -406,16 +289,15 @@ def optimal_gamma(
     epsilon: float,
     gamma_grid: int,
 ) -> float:
-    """The delay-optimal ``gamma`` of one fixed EBB pair: a single gamma
-    chain, the numpy search of :func:`~repro.network.e2e.e2e_delay_bound`
-    (which checks its arguments and the rate headroom first)."""
+    """The delay-optimal ``gamma`` of one fixed EBB pair: one kernel
+    gamma search, the numpy search of
+    :func:`~repro.network.e2e.e2e_delay_bound` (which checks its
+    arguments and the rate headroom first)."""
+    grid = _check_grid(gamma_grid, "gamma_grid")
     table = cprobe.ProbeTable()
     index = table.add(through, cross, hops, capacity, delta, epsilon)
-    chain = _gamma_chain(
-        index, capacity - cross.rate - through.rate, hops, gamma_grid
-    )
-    ((gamma, _),) = _run_chains(table, [chain])
-    return gamma
+    gammas, _ = cprobe.gamma_values(table, [index], grid)
+    return float(gammas[0])
 
 
 def mmoo_bound_lanes(specs: Iterable[LaneSpec]) -> list[E2EResult]:
@@ -427,10 +309,10 @@ def mmoo_bound_lanes(specs: Iterable[LaneSpec]) -> list[E2EResult]:
     specs = list(specs)
     for spec in specs:
         _check_lane(spec)
-    table = cprobe.ProbeTable()
+    table = cprobe.LaneTable()
     lanes = [_Lane(spec, spec.delta, table) for spec in specs]
     with obs.trace("lanes.mmoo_batch"):
-        results = _run_chains(table, [_mmoo_chain(lane) for lane in lanes])
+        results = _run_lanes(table, lanes)
     if obs.enabled():
         obs.add("lanes.mmoo_lanes", len(specs))
     return results
@@ -457,7 +339,7 @@ def edf_bound_lanes(specs: Iterable[EDFLaneSpec]) -> list[EDFBound]:
         check_nonconvergence_policy(spec.on_nonconvergence)
     n = len(specs)
     start = time.perf_counter()
-    table = cprobe.ProbeTable()
+    table = cprobe.LaneTable()
 
     def bootstrap_key(spec: EDFLaneSpec):
         return (
@@ -482,11 +364,9 @@ def edf_bound_lanes(specs: Iterable[EDFLaneSpec]) -> list[EDFBound]:
         for i in active:
             unique.setdefault(bootstrap_key(specs[i]), []).append(i)
         lane_groups = list(unique.values())
-        chains = []
-        for group in lane_groups:
-            lane = _Lane(specs[group[0]], 0.0, table)
-            chains.append(_mmoo_chain(lane))
-        boot = _run_chains(table, chains)
+        boot = _run_lanes(
+            table, [_Lane(specs[group[0]], 0.0, table) for group in lane_groups]
+        )
         if obs.enabled() and n:
             obs.add("lanes.bootstrap_dedup", n - len(lane_groups))
         still = []
@@ -521,14 +401,11 @@ def edf_bound_lanes(specs: Iterable[EDFLaneSpec]) -> list[EDFBound]:
             active = [i for i in active if iteration <= specs[i].max_iter]
             if not active:
                 break
-            chains = [
-                _mmoo_chain(_Lane(specs[i], deltas[i], table))
-                for i in active
-            ]
+            lanes = [_Lane(specs[i], deltas[i], table) for i in active]
             if obs.enabled():
                 obs.add("lanes.edf_rounds")
                 obs.observe("lanes.edf_round_lanes", len(active))
-            step_results = _run_chains(table, chains)
+            step_results = _run_lanes(table, lanes)
             still = []
             for i, result in zip(active, step_results):
                 results[i] = result

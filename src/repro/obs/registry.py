@@ -11,8 +11,9 @@ four instrument kinds of the observability layer:
   optimizer iterations, cache hits, saturated kernel lanes.
 * **gauges** — last-value-wins scalars (:meth:`set_gauge`), e.g. the
   shape of the most recent kernel batch.
-* **series** — bounded append-only value lists (:meth:`observe`), e.g.
-  the residual trajectory of the EDF fixed point or per-cell runtimes.
+* **series** — bounded value lists holding the most recent
+  observations (:meth:`observe`), e.g. the residual trajectory of the
+  EDF fixed point or per-cell runtimes.
 
 Everything serializes to a plain-dict :meth:`snapshot` (JSON- and
 pickle-safe), and snapshots :meth:`merge` back into any registry —
@@ -32,13 +33,15 @@ import json
 import math
 import threading
 import time
+from collections import deque
 from typing import Any, Iterator, Mapping
 
 #: Schema tag of serialized snapshots.
 SNAPSHOT_SCHEMA = "repro.metrics/1"
 
-#: Hard cap on the length of one series (old values are kept, new ones
-#: dropped) so a runaway loop cannot grow a snapshot without bound.
+#: Hard cap on the length of one series, so a runaway loop cannot grow a
+#: snapshot without bound.  A full series drops its *oldest* values: a
+#: long-running service's latency series shows recent requests.
 SERIES_CAP = 4096
 
 
@@ -102,7 +105,7 @@ class MetricsRegistry:
         self._spans: dict[str, dict[str, Any]] = {}
         self._counters: dict[str, float] = {}
         self._gauges: dict[str, Any] = {}
-        self._series: dict[str, list[float]] = {}
+        self._series: dict[str, deque[float]] = {}
 
     # ------------------------------------------------------------------ #
     # switching
@@ -174,13 +177,18 @@ class MetricsRegistry:
             self._gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
-        """Append ``value`` to series ``name`` (capped at ``SERIES_CAP``)."""
+        """Append ``value`` to series ``name``; past ``SERIES_CAP``
+        values the oldest one is dropped."""
         if not self._enabled:
             return
         with self._lock:
-            series = self._series.setdefault(name, [])
-            if len(series) < SERIES_CAP:
-                series.append(float(value))
+            self._series_named(name).append(float(value))
+
+    def _series_named(self, name: str) -> deque[float]:
+        series = self._series.get(name)
+        if series is None:
+            series = self._series[name] = deque(maxlen=SERIES_CAP)
+        return series
 
     # ------------------------------------------------------------------ #
     # snapshots
@@ -233,11 +241,11 @@ class MetricsRegistry:
     def merge(self, snapshot: Mapping[str, Any]) -> None:
         """Fold a :meth:`snapshot` into this registry.
 
-        Counters add, gauges take the incoming value, series extend (up
-        to the cap), and span trees merge node by node.  Merging ignores
-        the enabled flag: aggregation of already-collected worker
-        snapshots must work even if live collection has been switched
-        off in the meantime.
+        Counters add, gauges take the incoming value, series extend
+        (keeping the most recent ``SERIES_CAP`` values), and span trees
+        merge node by node.  Merging ignores the enabled flag:
+        aggregation of already-collected worker snapshots must work even
+        if live collection has been switched off in the meantime.
         """
         with self._lock:
             for name, value in snapshot.get("counters", {}).items():
@@ -245,10 +253,7 @@ class MetricsRegistry:
             for name, value in snapshot.get("gauges", {}).items():
                 self._gauges[name] = value
             for name, values in snapshot.get("series", {}).items():
-                series = self._series.setdefault(name, [])
-                room = SERIES_CAP - len(series)
-                if room > 0:
-                    series.extend(float(v) for v in values[:room])
+                self._series_named(name).extend(float(v) for v in values)
             for name, node in snapshot.get("spans", {}).items():
                 target = self._spans.get(name)
                 if target is None:

@@ -10,9 +10,12 @@ refinement around the best grid cell is robust and derivative-free.
 Each search loop is written once, as a generator that yields its probe
 points (:func:`golden_section_steps`, :func:`refine_grid_steps`,
 :func:`grid_then_golden_steps`); the familiar callable-taking functions
-are thin drivers of those generators, and the cross-cell lane engine of
-:mod:`repro.network.lanes` drives the same generators with batched
-probes.
+are thin drivers of those generators.  The cross-cell lane engine of
+:mod:`repro.network.lanes` drives :func:`grid_then_golden_steps` over
+``s`` with batched requests, and the generated-C kernel of
+:mod:`repro.network.cprobe` mirrors :func:`grid_then_golden` for the
+gamma search inside each request (its Python fallback is this
+function).
 
 :func:`minimize_piecewise_linear` is the exact minimizer used by the
 theta-optimization of Eq. (38): the objective there is piecewise linear in
@@ -164,14 +167,8 @@ def refine_grid_steps(
     fs: Sequence[float],
     *,
     tol: float = 1e-9,
-    golden: Callable[..., SearchSteps] = golden_section_steps,
 ) -> SearchSteps:
-    """Generator form of :func:`refine_grid_minimum`.
-
-    ``golden(low, high, tol=...)`` supplies the refinement pass; the lane
-    engine substitutes one that runs the whole golden-section loop in a
-    single batched kernel request.
-    """
+    """Generator form of :func:`refine_grid_minimum`."""
     if len(xs) != len(fs):
         raise ValueError("xs and fs must have equal length")
     if not xs:
@@ -183,7 +180,7 @@ def refine_grid_steps(
         return xs[best], fs[best]
     lo = xs[max(0, best - 1)]
     hi = xs[min(len(xs) - 1, best + 1)]
-    x_ref, f_ref = yield from golden(lo, hi, tol=tol)
+    x_ref, f_ref = yield from golden_section_steps(lo, hi, tol=tol)
     if f_ref <= fs[best]:
         return x_ref, f_ref
     return xs[best], fs[best]

@@ -2,7 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
+import pytest
+
+from repro import obs
 from repro.experiments.cache import CellCache
 from repro.experiments.sweep import Cell, SweepSpec, cell_key, run_sweep
 
@@ -51,6 +57,36 @@ class TestCellCache:
         assert cache.get(key) is None
         cache.path_for(key).write_text('[1, 2, 3]')
         assert cache.get(key) is None
+
+    def test_corrupt_entries_counted_apart_from_misses(self, tmp_path):
+        cache = CellCache(tmp_path / "cache")
+        key = "c" * 64
+        cache.put(key, {"rows": []})
+        cache.path_for(key).write_text("{not json!")
+        with obs.scoped(enabled=True) as registry:
+            assert cache.get(key) is None
+            assert cache.get("b" * 64) is None
+        assert registry.counter("cache.corrupt") == 1
+        assert registry.counter("cache.misses") == 1
+
+    def test_failed_put_is_counted_and_leaves_no_temp_file(self, tmp_path):
+        root = tmp_path / "cache"
+        root.write_text("a file where the cache directory should be")
+        cache = CellCache(root)
+        with obs.scoped(enabled=True) as registry:
+            cache.put("e" * 64, {"rows": []})  # must not raise
+        assert registry.counter("cache.put_errors") == 1
+        assert registry.counter("cache.puts") == 0
+
+    def test_failed_write_removes_its_temp_file(self, tmp_path):
+        cache = CellCache(tmp_path / "cache")
+        with obs.scoped(enabled=True) as registry:
+            with pytest.raises(TypeError):
+                cache.put("e" * 64, {"rows": [object()]})
+        assert registry.counter("cache.puts") == 0
+        assert list((tmp_path / "cache").rglob("*")) == [
+            cache.path_for("e" * 64).parent
+        ]
 
     def test_clear(self, tmp_path):
         cache = CellCache(tmp_path / "cache")
@@ -109,3 +145,64 @@ class TestSweepCaching:
         run_sweep(spec)
         run_sweep(spec)
         assert executions(log) == 4
+
+
+_WRITER = """
+import sys
+from repro import obs
+from repro.experiments.cache import CellCache
+
+root, key, writer = sys.argv[1], sys.argv[2], int(sys.argv[3])
+cache = CellCache(root)
+payload = {"rows": [{"writer": writer, "i": i} for i in range(40 * writer + 1)]}
+print("ready", flush=True)
+sys.stdin.readline()
+with obs.scoped(enabled=True) as registry:
+    for _ in range(150):
+        cache.put(key, payload)
+print(int(registry.counter("cache.puts")),
+      int(registry.counter("cache.put_errors")), flush=True)
+"""
+
+
+def test_concurrent_same_key_writers_never_tear_the_entry(tmp_path):
+    """Processes writing one key at once: every read parses to one
+    writer's whole payload, no write is lost, no temp file is left."""
+    root = tmp_path / "cache"
+    key = "ab" * 32
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    writers = [
+        subprocess.Popen(
+            [sys.executable, "-c", _WRITER, str(root), key, str(w)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            env=env,
+        )
+        for w in range(1, 5)
+    ]
+    cache = CellCache(root)
+    reads = []
+    try:
+        for proc in writers:  # every writer is up before any writes
+            assert proc.stdout.readline().strip() == "ready"
+        for proc in writers:
+            proc.stdin.write("go\n")
+            proc.stdin.flush()
+        with obs.scoped(enabled=True) as registry:
+            while any(proc.poll() is None for proc in writers):
+                reads.append(cache.get(key))
+        outputs = [proc.communicate(timeout=60)[0] for proc in writers]
+    finally:
+        for proc in writers:
+            proc.kill()
+    assert registry.counter("cache.corrupt") == 0
+    for payload in reads + [cache.get(key)]:
+        if payload is None:  # not yet written
+            continue
+        rows = payload["rows"]
+        writer = rows[0]["writer"]
+        assert len(rows) == 40 * writer + 1
+        assert all(row["writer"] == writer for row in rows)
+    assert [out.split() for out in outputs] == [["150", "0"]] * len(writers)
+    assert [p.name for p in cache.path_for(key).parent.iterdir()] == [
+        f"{key}.json"
+    ]

@@ -157,6 +157,20 @@ class TestMain:
         assert fallback["meta"]["probe_kernel"] == "python"
         assert fallback["rows"] == compiled["rows"]
 
+    def test_trace_names_the_probe_kernel(self, capsys, monkeypatch):
+        argv = [
+            "fig2", "--hops", "2", "--utilizations", "0.4", "--no-cache",
+            "--trace",
+        ]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"[trace] probe kernel={cprobe.probe_kernel()}" in lines
+        monkeypatch.setattr(cprobe, "_get_lib", lambda: None)
+        assert main(argv) == 0
+        assert "[trace] probe kernel=python" in (
+            capsys.readouterr().out.splitlines()
+        )
+
     def test_validation_artifact_records_trial_seeds(self, capsys, tmp_path):
         from repro.simulation.engine import spawn_trial_seeds
 

@@ -86,7 +86,7 @@ class TestEDFFixedPointTrace:
         edf_bound()
         rounds = traced.counter("lanes.engine_rounds")
         assert rounds > 0
-        # every engine round flushes at least one probe request
+        # every engine round flushes at least one (lane, s) kernel request
         assert traced.counter("lanes.engine_probes") >= rounds
         with obs.scoped(enabled=True) as scalar:
             edf_bound("scalar")

@@ -78,7 +78,32 @@ class TestGaugesAndSeries:
     def test_series_capped(self, registry):
         for i in range(obs.SERIES_CAP + 10):
             registry.observe("big", float(i))
-        assert len(registry.series("big")) == obs.SERIES_CAP
+        # the most recent SERIES_CAP values, in order
+        assert registry.series("big") == [
+            float(i) for i in range(10, obs.SERIES_CAP + 10)
+        ]
+
+    def test_series_follows_a_latency_shift(self, registry):
+        """After 4,096 fast requests, 904 slow ones must show in the
+        series (a long-running service's latency must not go stale)."""
+        for _ in range(4096):
+            registry.observe("latency", 0.001)
+        for _ in range(904):
+            registry.observe("latency", 9.0)
+        series = registry.series("latency")
+        assert len(series) == obs.SERIES_CAP
+        assert series.count(9.0) == 904
+        assert series[-1] == 9.0
+
+    def test_merge_keeps_the_most_recent_values(self, registry):
+        for i in range(obs.SERIES_CAP):
+            registry.observe("big", float(i))
+        other = obs.MetricsRegistry(enabled=True)
+        other.observe("big", -1.0)
+        registry.merge(other.snapshot())
+        series = registry.series("big")
+        assert len(series) == obs.SERIES_CAP
+        assert series[0] == 1.0 and series[-1] == -1.0
 
 
 class TestSpans:
