@@ -363,13 +363,13 @@ def _run(args) -> int:
         misses = registry.counter("cache.misses")
         corrupt = registry.counter("cache.corrupt")
         put_errors = registry.counter("cache.put_errors")
-        edf_iterations = registry.counter("e2e.edf_iterations") + sum(
-            registry.series("lanes.edf_lane_iterations")
-        )
+        edf_iterations = registry.counter("e2e.edf_iterations")
+        edf_nonconverged = registry.counter("e2e.edf_nonconverged")
         print(
             f"[trace] cache hits={hits:.0f} misses={misses:.0f} "
             f"corrupt={corrupt:.0f} put errors={put_errors:.0f}, "
-            f"edf fixed-point iterations={edf_iterations:.0f}"
+            f"edf fixed-point iterations={edf_iterations:.0f} "
+            f"(not converged={edf_nonconverged:.0f})"
         )
         print(f"[trace] probe kernel={cprobe.probe_kernel()}")
         if args.batch:

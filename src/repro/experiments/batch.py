@@ -8,23 +8,27 @@ own.  This module groups compatible cells of a
 solver family and backend, varying only numeric parameters — e.g. both
 EDF deadline-weight variants of Fig. 3 land in one group) and executes
 each group as one batched call into :mod:`repro.network.lanes`, where
-all the lanes' searches advance in lockstep through shared vectorized
-and generated-C kernels.
+all the lanes' searches advance in lockstep through shared
+generated-C kernel calls.
 
-A cell function opts in by registering a *planner* — a sibling function
-that maps the cell's keyword parameters to a :class:`CellPlan`: which
-lane family solves it (``"mmoo"`` or ``"edf"``), the lane spec, and a
-payload builder that turns the lane result into the exact payload the
-cell function would have returned.  Cells without a planner (or whose
-planner declines, e.g. the additive BMUX baseline of Fig. 4) fall back
-to per-cell execution as singleton batches.
+A batchable cell is defined by its *planner*, registered here: a
+function mapping the cell's keyword parameters to a :class:`CellPlan`
+— which lane family solves it (``"mmoo"`` or ``"edf"``), the lane
+spec, and a payload builder that turns the lane result into the cell's
+payload.  The cell function itself is :func:`solve_plan` of its
+planner (the spec through the per-cell solver entry point), so the
+per-cell and the batched path share one definition.  Only the cases a
+planner declines keep their own code in the cell — the additive BMUX
+baseline of Fig. 4 and the service's backlog queries — and run as
+singleton batches, as do cells without a planner.
 
 Guarantees:
 
 * **Bitwise equality** — a batched run produces row-for-row identical
   payloads to the per-cell path (same bounds, same EDF iteration counts
-  and convergence flags), because the lane engine mirrors every
-  floating-point decision of the scalar searches.
+  and convergence flags): both run the same plan, and the lane engine
+  runs the same s-search and fixed-point generators as the per-cell
+  solvers.
 * **Cache compatibility** — the unit of caching stays the cell: a
   batched run populates the same content-keyed entries a per-cell run
   would read, and vice versa.
@@ -36,12 +40,16 @@ import importlib
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Iterable, Literal, Sequence
 
 from repro import obs
 from repro.experiments.sweep import Cell, SweepSpec, execute_cell
-from repro.network.e2e import EDFBound
+from repro.network.e2e import (
+    EDFBound,
+    e2e_delay_bound_edf,
+    e2e_delay_bound_mmoo,
+)
 from repro.network.lanes import (
     EDFLaneSpec,
     LaneSpec,
@@ -54,6 +62,7 @@ __all__ = [
     "Batch",
     "plan_batches",
     "plan_cell",
+    "solve_plan",
     "execute_batch",
     "execute_batch_traced",
     "register_planner",
@@ -145,6 +154,20 @@ def plan_cell(cell: Cell) -> CellPlan | None:
     if planner_path is None:
         return None
     return _resolve(planner_path)(cell.kwargs)
+
+
+def solve_plan(plan: CellPlan) -> dict:
+    """Solve one plan on its own: its spec, field for field, through the
+    per-cell entry point (:func:`~repro.network.e2e.e2e_delay_bound_mmoo`
+    or :func:`~repro.network.e2e.e2e_delay_bound_edf`), then
+    ``plan.build``; a ``backend="scalar"`` plan thus runs the independent
+    reference search.  A cell function calls
+    ``solve_plan(<planner>(locals()))`` as its first statement, where
+    ``locals()`` is exactly its keyword parameters."""
+    spec = {field.name: getattr(plan.spec, field.name) for field in fields(plan.spec)}
+    if plan.kind == "edf":
+        return plan.build(e2e_delay_bound_edf(**spec))
+    return plan.build(e2e_delay_bound_mmoo(**spec))
 
 
 def _chunk(

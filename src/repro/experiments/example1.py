@@ -30,10 +30,9 @@ from repro.experiments.config import (
     setting_from_params,
     setting_to_params,
 )
-from repro.experiments.batch import CellPlan, edf_diagnostics
+from repro.experiments.batch import CellPlan, edf_diagnostics, solve_plan
 from repro.experiments.runner import ExperimentRow
 from repro.experiments.sweep import Cell, SweepSpec, run_sweep
-from repro.network.e2e import e2e_delay_bound_edf, e2e_delay_bound_mmoo
 from repro.network.lanes import EDFLaneSpec, LaneSpec
 
 #: The through-aggregate size of Example 1 (U_0 = 15%).
@@ -83,33 +82,12 @@ def fig2_cell(
     backend: str = DEFAULT_BACKEND,
 ) -> dict:
     """One (scheduler, H, U) point of Fig. 2 — pure and picklable."""
-    setting = setting_from_params(traffic, capacity, epsilon)
-    grid = {"s_grid": s_grid, "gamma_grid": gamma_grid, "backend": backend}
-    n_total = setting.flows_for_utilization(utilization)
-    n_cross = max(n_total - n_through, 0)
-    if scheduler == "EDF":
-        bound = e2e_delay_bound_edf(
-            setting.traffic, n_through, n_cross, hops,
-            setting.capacity, setting.epsilon,
-            deadline_weight_through=1.0,
-            deadline_weight_cross=10.0,
-            **grid,
-        )
-        return _fig2_payload(
-            scheduler, hops, utilization, bound.result, bound.delta,
-            edf_diagnostics(bound),
-        )
-    delta = math.inf if scheduler == "BMUX" else 0.0
-    result = e2e_delay_bound_mmoo(
-        setting.traffic, n_through, n_cross, hops,
-        setting.capacity, delta, setting.epsilon,
-        **grid,
-    )
-    return _fig2_payload(scheduler, hops, utilization, result, delta, {})
+    return solve_plan(fig2_plan(locals()))
 
 
 def fig2_plan(params: dict) -> CellPlan:
-    """Batch plan of one Fig. 2 cell (see :mod:`repro.experiments.batch`)."""
+    """The plan of one Fig. 2 cell, shared by :func:`fig2_cell` and the
+    batched path (see :mod:`repro.experiments.batch`)."""
     scheduler = params["scheduler"]
     hops, utilization = params["hops"], params["utilization"]
     setting = setting_from_params(

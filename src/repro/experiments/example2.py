@@ -30,10 +30,9 @@ from repro.experiments.config import (
     setting_from_params,
     setting_to_params,
 )
-from repro.experiments.batch import CellPlan, edf_diagnostics
+from repro.experiments.batch import CellPlan, edf_diagnostics, solve_plan
 from repro.experiments.runner import ExperimentRow
 from repro.experiments.sweep import Cell, SweepSpec, run_sweep
-from repro.network.e2e import e2e_delay_bound_edf, e2e_delay_bound_mmoo
 from repro.network.lanes import EDFLaneSpec, LaneSpec
 
 DEFAULT_MIXES = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -81,35 +80,12 @@ def fig3_cell(
     backend: str = DEFAULT_BACKEND,
 ) -> dict:
     """One (scheduler, H, mix) point of Fig. 3 — pure and picklable."""
-    setting = setting_from_params(traffic, capacity, epsilon)
-    grid = {"s_grid": s_grid, "gamma_grid": gamma_grid, "backend": backend}
-    n_total = setting.flows_for_utilization(utilization)
-    n_cross = round(mix * n_total)
-    n_through = max(n_total - n_cross, 1)
-    if scheduler in EDF_WEIGHTS:
-        w_through, w_cross = EDF_WEIGHTS[scheduler]
-        bound = e2e_delay_bound_edf(
-            setting.traffic, n_through, n_cross, hops,
-            setting.capacity, setting.epsilon,
-            deadline_weight_through=w_through,
-            deadline_weight_cross=w_cross,
-            **grid,
-        )
-        return _fig3_payload(
-            scheduler, hops, mix, bound.result, bound.delta,
-            edf_diagnostics(bound),
-        )
-    delta = math.inf if scheduler == "BMUX" else 0.0
-    result = e2e_delay_bound_mmoo(
-        setting.traffic, n_through, n_cross, hops,
-        setting.capacity, delta, setting.epsilon,
-        **grid,
-    )
-    return _fig3_payload(scheduler, hops, mix, result, delta, {})
+    return solve_plan(fig3_plan(locals()))
 
 
 def fig3_plan(params: dict) -> CellPlan:
-    """Batch plan of one Fig. 3 cell (see :mod:`repro.experiments.batch`)."""
+    """The plan of one Fig. 3 cell, shared by :func:`fig3_cell` and the
+    batched path (see :mod:`repro.experiments.batch`)."""
     scheduler = params["scheduler"]
     hops, mix = params["hops"], params["mix"]
     setting = setting_from_params(

@@ -30,10 +30,9 @@ from repro.experiments.config import (
     setting_from_params,
     setting_to_params,
 )
-from repro.experiments.batch import CellPlan, edf_diagnostics
+from repro.experiments.batch import CellPlan, edf_diagnostics, solve_plan
 from repro.experiments.runner import ExperimentRow
 from repro.experiments.sweep import Cell, SweepSpec, run_sweep
-from repro.network.e2e import e2e_delay_bound_edf, e2e_delay_bound_mmoo
 from repro.network.lanes import EDFLaneSpec, LaneSpec
 from repro.network.pernode import additive_pernode_delay_bound_mmoo
 
@@ -57,38 +56,19 @@ def fig4_cell(
     backend: str = DEFAULT_BACKEND,
 ) -> dict:
     """One (scheduler, U, H) point of Fig. 4 — pure and picklable."""
+    plan = fig4_plan(locals())
+    if plan is not None:
+        return solve_plan(plan)
+    # the additive BMUX baseline: the one case with no lane family
     setting = setting_from_params(traffic, capacity, epsilon)
-    grid = {"s_grid": s_grid, "gamma_grid": gamma_grid, "backend": backend}
     n_half = max(setting.flows_for_utilization(utilization) // 2, 1)
-    if scheduler == "EDF":
-        bound = e2e_delay_bound_edf(
-            setting.traffic, n_half, n_half, hops,
-            setting.capacity, setting.epsilon,
-            deadline_weight_through=1.0,
-            deadline_weight_cross=10.0,
-            **grid,
-        )
-        return _fig4_payload(
-            scheduler, hops, utilization, bound.result.delay,
-            bound.result.gamma, edf_diagnostics(bound),
-        )
-    if scheduler == "BMUX additive":
-        additive = additive_pernode_delay_bound_mmoo(
-            setting.traffic, n_half, n_half, hops,
-            setting.capacity, setting.epsilon,
-            **grid,
-        )
-        return _fig4_payload(
-            scheduler, hops, utilization, additive.delay, additive.gamma, {}
-        )
-    delta = math.inf if scheduler == "BMUX" else 0.0
-    result = e2e_delay_bound_mmoo(
+    additive = additive_pernode_delay_bound_mmoo(
         setting.traffic, n_half, n_half, hops,
-        setting.capacity, delta, setting.epsilon,
-        **grid,
+        setting.capacity, setting.epsilon,
+        s_grid=s_grid, gamma_grid=gamma_grid, backend=backend,
     )
     return _fig4_payload(
-        scheduler, hops, utilization, result.delay, result.gamma, {}
+        scheduler, hops, utilization, additive.delay, additive.gamma, {}
     )
 
 
@@ -111,11 +91,12 @@ def _fig4_payload(
 
 
 def fig4_plan(params: dict) -> CellPlan | None:
-    """Batch plan of one Fig. 4 cell (see :mod:`repro.experiments.batch`).
+    """The plan of one Fig. 4 cell, shared by :func:`fig4_cell` and the
+    batched path (see :mod:`repro.experiments.batch`).
 
     The additive BMUX baseline runs a different solver
     (:func:`additive_pernode_delay_bound_mmoo`), so it declines batching
-    and stays on the per-cell path.
+    and stays in :func:`fig4_cell`.
     """
     scheduler = params["scheduler"]
     if scheduler == "BMUX additive":

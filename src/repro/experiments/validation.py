@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
-from repro.experiments.batch import CellPlan
+from repro.experiments.batch import CellPlan, solve_plan
 from repro.experiments.config import (
     DEFAULT_BACKEND,
     SCHEDULER_MAP,
@@ -48,7 +48,6 @@ from repro.experiments.config import (
     setting_to_params,
 )
 from repro.experiments.sweep import Cell, SweepSpec, run_sweep
-from repro.network.e2e import e2e_delay_bound_mmoo
 from repro.network.lanes import LaneSpec
 from repro.simulation.engine import (
     SimulationConfig,
@@ -125,15 +124,7 @@ def validation_bound_cell(
     is the *validation* violation probability (both the bound's target
     and the simulated quantile level), not the paper's 1e-9 setting.
     """
-    setting = setting_from_params(traffic, capacity, epsilon)
-    _, delta, _ = SCHEDULER_MAP[scheduler]
-    n_half = _n_half(traffic, capacity, epsilon, utilization)
-    bound = e2e_delay_bound_mmoo(
-        setting.traffic, n_half, n_half, hops, setting.capacity,
-        delta, epsilon, s_grid=s_grid, gamma_grid=gamma_grid,
-        backend=backend,
-    )
-    return _validation_bound_payload(scheduler, hops, utilization, n_half, bound)
+    return solve_plan(validation_bound_plan(locals()))
 
 
 def _validation_bound_payload(
@@ -156,7 +147,8 @@ def _validation_bound_payload(
 
 
 def validation_bound_plan(params: dict) -> CellPlan:
-    """Batch plan of one bound cell (see :mod:`repro.experiments.batch`)."""
+    """The plan of one bound cell, shared by :func:`validation_bound_cell`
+    and the batched path (see :mod:`repro.experiments.batch`)."""
     scheduler = params["scheduler"]
     hops, utilization = params["hops"], params["utilization"]
     epsilon = params["epsilon"]

@@ -23,16 +23,17 @@ from repro.arrivals.ebb import EBB
 from repro.arrivals.mmoo import MMOOParameters
 from repro.network.convolution import network_service_curve
 from repro.network.e2e import (
-    _max_feasible_s,
     check_backend,
     mmoo_ebb_pair,
+    mmoo_s_max,
+    mmoo_s_steps,
     sigma_for_epsilon,
 )
 from repro.network.optimization import homogeneous_hops, solve_exact
 from repro.scheduling.delta import CustomDelta
 from repro.service.leftover import leftover_service_curve
 from repro.singlenode.backlog import backlog_bound_at_sigma
-from repro.utils.numeric import grid_then_golden
+from repro.utils.numeric import drive, grid_then_golden
 from repro.utils.validation import check_int, check_positive, check_probability
 
 
@@ -159,9 +160,6 @@ def e2e_backlog_bound_mmoo(
     """Backlog bound for MMOO aggregates, optimizing ``(s, gamma)``."""
     n_through = check_int(n_through, "n_through", minimum=1)
     n_cross = check_int(n_cross, "n_cross", minimum=0)
-    if (n_through + n_cross) * traffic.mean_rate >= capacity:
-        return _INFEASIBLE
-    s_max = _max_feasible_s(traffic, n_through + max(n_cross, 1), capacity)
 
     def at_s(s: float) -> BacklogResult:
         through, cross = mmoo_ebb_pair(traffic, n_through, n_cross, s)
@@ -170,11 +168,8 @@ def e2e_backlog_bound_mmoo(
             gamma_grid=gamma_grid, backend=backend,
         )
 
-    s_best, _ = grid_then_golden(
+    s_best = drive(
+        mmoo_s_steps(mmoo_s_max(traffic, n_through, n_cross, capacity), s_grid),
         lambda s: at_s(s).backlog,
-        s_max * 1e-4,
-        s_max * (1.0 - 1e-9),
-        grid_points=s_grid,
-        log_spaced=True,
     )
-    return at_s(s_best)
+    return _INFEASIBLE if s_best is None else at_s(s_best)

@@ -25,7 +25,11 @@ search through the lane engine of :mod:`repro.network.lanes`: a
 single-lane batch of the same engine that fuses whole sweep grids.
 ``backend="scalar"``, and ``method="paper"`` on either backend, run the
 point-by-point search in this module — the independent reference the
-lane engine is checked against.
+lane engine is checked against.  The two outer loops are step
+generators written once here — the s-search (:func:`mmoo_s_steps`) and
+the EDF fixed point (:func:`edf_fixed_point_steps`); the reference
+drives them point by point with :func:`repro.utils.numeric.drive`, the
+lane engine in batches.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Literal, Sequence, get_args
+from typing import Generator, Iterator, Literal, Sequence, get_args
 
 from repro import obs
 from repro.arrivals.ebb import EBB
@@ -47,9 +51,15 @@ from repro.network.optimization import (
     solve_exact,
     solve_paper,
 )
-from repro.utils.numeric import bisect_increasing, grid_then_golden
+from repro.utils.numeric import (
+    bisect_increasing,
+    drive,
+    grid_then_golden,
+    grid_then_golden_steps,
+)
 from repro.utils.validation import (
     check_int,
+    check_non_negative,
     check_positive,
     check_probability,
 )
@@ -109,22 +119,37 @@ class FixedPointError(RuntimeError):
     """The EDF deadline fixed point did not reach its tolerance."""
 
 
-def check_nonconvergence_policy(policy: str) -> None:
-    """Validate an ``on_nonconvergence`` selector."""
-    if policy not in get_args(NonConvergence):
+def check_edf_settings(
+    deadline_weight_through: float,
+    deadline_weight_cross: float,
+    tol: float,
+    max_iter: int,
+    on_nonconvergence: str,
+) -> int:
+    """Validate the fixed-point settings of an EDF bound (raises
+    :class:`ValueError` naming the field) and return ``max_iter`` as an
+    int; shared by :func:`e2e_delay_bound_edf` and the lane engine's EDF
+    batches."""
+    check_positive(deadline_weight_through, "deadline_weight_through")
+    check_positive(deadline_weight_cross, "deadline_weight_cross")
+    check_non_negative(tol, "tol")
+    if on_nonconvergence not in get_args(NonConvergence):
         raise ValueError(
             "on_nonconvergence must be 'warn', 'raise', or 'ignore', got "
-            f"{policy!r}"
+            f"{on_nonconvergence!r}"
         )
+    return check_int(max_iter, "max_iter", minimum=1)
 
 
 def report_nonconvergence(
     policy: NonConvergence, max_iter: int, tol: float, residual: float
 ) -> None:
     """Apply the ``on_nonconvergence`` policy to an EDF fixed point that
-    used up ``max_iter`` iterations: raise :class:`FixedPointError`,
-    emit a :class:`RuntimeWarning` at the solver's caller, or do
-    nothing."""
+    used up ``max_iter`` iterations: count it (``e2e.edf_nonconverged``),
+    then raise :class:`FixedPointError`, emit a :class:`RuntimeWarning`
+    at the solver's caller, or do nothing."""
+    if obs.enabled():
+        obs.add("e2e.edf_nonconverged")
     message = (
         f"EDF deadline fixed point did not converge in {max_iter} "
         f"iterations: relative residual {residual:.3g} > tol {tol:g}"
@@ -132,7 +157,8 @@ def report_nonconvergence(
     if policy == "raise":
         raise FixedPointError(message)
     if policy == "warn":
-        warnings.warn(message, RuntimeWarning, stacklevel=3)
+        # report <- fixed point <- its driver <- the solver <- its caller
+        warnings.warn(message, RuntimeWarning, stacklevel=5)
 
 
 @dataclass(frozen=True)
@@ -175,20 +201,6 @@ class EDFBound:
 
     def __iter__(self) -> Iterator:
         return iter((self.result, self.delta))
-
-    @classmethod
-    def finish(
-        cls, result: E2EResult, delta: float, iterations: int,
-        residual: float, converged: bool, start: float,
-    ) -> EDFBound:
-        """The bound of a fixed point that began at ``start`` (a
-        :func:`time.perf_counter` reading) and ends now."""
-        return cls(
-            result, delta,
-            FixedPointDiagnostics(
-                iterations, residual, converged, time.perf_counter() - start
-            ),
-        )
 
 
 def sigma_for_epsilon(
@@ -400,6 +412,40 @@ def mmoo_ebb_pair(
     return through, cross
 
 
+def mmoo_s_max(
+    traffic: MMOOParameters, n_through: int, n_cross: int, capacity: float
+) -> float | None:
+    """Upper end of the s-search of a homogeneous MMOO bound, or ``None``
+    when the mean load alone leaves no headroom (the bound is then
+    infinite).  Independent of ``Delta``, so the EDF lane engine computes
+    it once per lane geometry."""
+    if (n_through + n_cross) * traffic.mean_rate >= capacity:
+        return None
+    return _max_feasible_s(traffic, n_through + max(n_cross, 1), capacity)
+
+
+def mmoo_s_steps(
+    s_max: float | None, s_grid: int
+) -> Generator[list, list, float | None]:
+    """The s-search of every homogeneous MMOO bound, written once.
+
+    Yields lists of effective-bandwidth parameters ``s`` on the bracket
+    below ``s_max`` (:func:`mmoo_s_max`), is sent their objective values
+    (the bound optimized over gamma at each ``s``), and returns the best
+    ``s`` — or ``None``, without yielding, when ``s_max`` is ``None``.
+    The scalar searches (delay, additive, backlog) run it with
+    :func:`repro.utils.numeric.drive`; the lane engine runs it with
+    batched kernel requests.
+    """
+    if s_max is None:
+        return None
+    s_best, _ = yield from grid_then_golden_steps(
+        s_max * 1e-4, s_max * (1.0 - 1e-9),
+        grid_points=s_grid, log_spaced=True,
+    )
+    return s_best
+
+
 def e2e_delay_bound_mmoo(
     traffic: MMOOParameters,
     n_through: int,
@@ -427,8 +473,6 @@ def e2e_delay_bound_mmoo(
     n_through = check_int(n_through, "n_through", minimum=1)
     n_cross = check_int(n_cross, "n_cross", minimum=0)
     check_positive(capacity, "capacity")
-    if (n_through + n_cross) * traffic.mean_rate >= capacity:
-        return _INFEASIBLE
     if backend == "numpy" and method == "exact":
         from repro.network.lanes import LaneSpec, mmoo_bound_lanes
 
@@ -438,23 +482,71 @@ def e2e_delay_bound_mmoo(
             s_grid=s_grid, gamma_grid=gamma_grid,
         )
         return mmoo_bound_lanes([spec])[0]
+
+    def at_s(s: float) -> E2EResult:
+        through, cross = mmoo_ebb_pair(traffic, n_through, n_cross, s)
+        return e2e_delay_bound(
+            through, cross, hops, capacity, delta, epsilon,
+            method=method, gamma_grid=gamma_grid, backend="scalar",
+        )
+
     with obs.trace("e2e.mmoo_bound"):
-        s_max = _max_feasible_s(
-            traffic, n_through + max(n_cross, 1), capacity
+        s_best = drive(
+            mmoo_s_steps(
+                mmoo_s_max(traffic, n_through, n_cross, capacity), s_grid
+            ),
+            lambda s: at_s(s).delay,
         )
+        return _INFEASIBLE if s_best is None else at_s(s_best)
 
-        def at_s(s: float) -> E2EResult:
-            through, cross = mmoo_ebb_pair(traffic, n_through, n_cross, s)
-            return e2e_delay_bound(
-                through, cross, hops, capacity, delta, epsilon,
-                method=method, gamma_grid=gamma_grid, backend="scalar",
-            )
 
-        s_best, _ = grid_then_golden(
-            lambda s: at_s(s).delay, s_max * 1e-4, s_max * (1.0 - 1e-9),
-            grid_points=s_grid, log_spaced=True,
+def edf_fixed_point_steps(
+    weight_gap: float,
+    hops: int,
+    tol: float,
+    max_iter: int,
+    on_nonconvergence: NonConvergence,
+    start: float,
+) -> Generator[list, list, EDFBound]:
+    """The damped EDF deadline fixed point, written once.
+
+    Yields ``[delta]``, is sent ``[bound]`` (the :class:`E2EResult` at
+    that ``Delta_{0,c}``), and returns the :class:`EDFBound`:
+    :func:`e2e_delay_bound_edf` drives it point by point,
+    :func:`repro.network.lanes.edf_bound_lanes` drives one per lane in
+    lockstep.  ``weight_gap`` is ``w_0 - w_c``; ``start`` is the
+    :func:`time.perf_counter` reading the wall time counts from.
+    """
+
+    def finish(result, delta, iterations, residual, converged):
+        diagnostics = FixedPointDiagnostics(
+            iterations, residual, converged, time.perf_counter() - start
         )
-        return at_s(s_best)
+        return EDFBound(result, delta, diagnostics)
+
+    (current,) = yield [0.0]  # FIFO start
+    if not current.feasible:
+        return finish(current, 0.0, 0, 0.0, True)
+    delta = weight_gap * current.delay / hops
+    residual = math.inf
+    for iteration in range(1, max_iter + 1):
+        (result,) = yield [delta]
+        if obs.enabled():
+            obs.add("e2e.edf_iterations")
+        if not result.feasible:
+            # an infinite bound cannot move: the iteration is at rest
+            return finish(result, delta, iteration, 0.0, True)
+        new_delta = weight_gap * result.delay / hops
+        step = abs(new_delta - delta)
+        scale = max(1.0, abs(delta))
+        residual = step / scale
+        if obs.enabled():
+            obs.observe("e2e.edf_residual", residual)
+        if step <= tol * scale:
+            return finish(result, new_delta, iteration, residual, True)
+        delta = 0.5 * (delta + new_delta)  # damping
+    report_nonconvergence(on_nonconvergence, max_iter, tol, residual)
+    return finish(result, delta, max_iter, residual, False)
 
 
 def e2e_delay_bound_edf(
@@ -481,15 +573,17 @@ def e2e_delay_bound_edf(
     resulting end-to-end bound: ``d*_0 = w_0 d_e2e / H`` and
     ``d*_c = w_c d_e2e / H`` (the paper uses ``w_0 = 1, w_c = 10``), hence
     ``Delta_{0,c} = (w_0 - w_c) d_e2e / H`` — a fixed point in ``d_e2e``.
-    Resolved by damped iteration from the FIFO bound.
+    Resolved by damped iteration from the FIFO bound
+    (:func:`edf_fixed_point_steps`).
 
     Returns an :class:`EDFBound` — unpackable as ``(result, delta)`` —
     whose ``diagnostics`` record the iteration count, the final relative
     residual, and convergence.  If the residual does not meet ``tol``
-    within ``max_iter`` iterations, ``on_nonconvergence`` selects the
-    policy: ``"warn"`` (default) emits a :class:`RuntimeWarning` and
-    flags ``converged=False``; ``"raise"`` raises
-    :class:`FixedPointError`; ``"ignore"`` only flags the result.
+    (finite, ``>= 0``) within ``max_iter`` (``>= 1``) iterations,
+    ``on_nonconvergence`` selects the policy: ``"warn"`` (default) emits
+    a :class:`RuntimeWarning` and flags ``converged=False``; ``"raise"``
+    raises :class:`FixedPointError`; ``"ignore"`` only flags the result.
+    Every policy counts ``e2e.edf_nonconverged`` when tracing is on.
 
     With ``backend="numpy"`` the fixed point runs as one lane of
     :func:`repro.network.lanes.edf_bound_lanes`.
@@ -499,9 +593,10 @@ def e2e_delay_bound_edf(
     n_cross = check_int(n_cross, "n_cross", minimum=0)
     hops = check_int(hops, "hops", minimum=1)
     check_probability(epsilon, "epsilon")
-    check_positive(deadline_weight_through, "deadline_weight_through")
-    check_positive(deadline_weight_cross, "deadline_weight_cross")
-    check_nonconvergence_policy(on_nonconvergence)
+    max_iter = check_edf_settings(
+        deadline_weight_through, deadline_weight_cross, tol, max_iter,
+        on_nonconvergence,
+    )
     if backend == "numpy" and method == "exact":
         from repro.network.lanes import EDFLaneSpec, edf_bound_lanes
 
@@ -513,39 +608,16 @@ def e2e_delay_bound_edf(
             gamma_grid=gamma_grid, on_nonconvergence=on_nonconvergence,
         )
         return edf_bound_lanes([spec])[0]
-    start = time.perf_counter()
-
-    def bound_at(delta: float) -> E2EResult:
-        return e2e_delay_bound_mmoo(
-            traffic, n_through, n_cross, hops, capacity, delta, epsilon,
-            method=method, s_grid=s_grid, gamma_grid=gamma_grid,
-            backend=backend,
-        )
-
-    weight_gap = deadline_weight_through - deadline_weight_cross
+    steps = edf_fixed_point_steps(
+        deadline_weight_through - deadline_weight_cross, hops, tol,
+        max_iter, on_nonconvergence, time.perf_counter(),
+    )
     with obs.trace("e2e.edf_fixed_point"):
-        current = bound_at(0.0)  # FIFO start
-        if not current.feasible:
-            return EDFBound.finish(current, 0.0, 0, 0.0, True, start)
-        delta = weight_gap * current.delay / hops
-        residual = math.inf
-        for iteration in range(1, max_iter + 1):
-            result = bound_at(delta)
-            if obs.enabled():
-                obs.add("e2e.edf_iterations")
-            if not result.feasible:
-                # an infinite bound cannot move: the iteration is at rest
-                return EDFBound.finish(result, delta, iteration, 0.0, True, start)
-            new_delta = weight_gap * result.delay / hops
-            step = abs(new_delta - delta)
-            scale = max(1.0, abs(delta))
-            residual = step / scale
-            if obs.enabled():
-                obs.observe("e2e.edf_residual", residual)
-            if step <= tol * scale:
-                return EDFBound.finish(
-                    result, new_delta, iteration, residual, True, start
-                )
-            delta = 0.5 * (delta + new_delta)  # damping
-    report_nonconvergence(on_nonconvergence, max_iter, tol, residual)
-    return EDFBound.finish(result, delta, max_iter, residual, False, start)
+        return drive(
+            steps,
+            lambda delta: e2e_delay_bound_mmoo(
+                traffic, n_through, n_cross, hops, capacity, delta,
+                epsilon, method=method, s_grid=s_grid,
+                gamma_grid=gamma_grid, backend=backend,
+            ),
+        )

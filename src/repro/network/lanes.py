@@ -2,33 +2,29 @@
 
 One sweep cell pays a deeply nested free-parameter search: the EDF
 deadline fixed point iterates ``bound_at(delta)``, each of which runs a
-golden-section search over ``s``, each step of which runs a
-grid-then-golden search over ``gamma``, each probe of which solves the
-Eq. (38) theta optimization.  Per cell that is tens of thousands of
-*sequential* scalar probes.  Across a sweep grid, however, the cells
-are independent — so the searches of many cells can advance in
-lockstep, pooling every pending ``(lane, s)`` point of every cell into
-one batched kernel call per engine round.
+search over ``s``, each step of which runs a grid-then-golden search
+over ``gamma``, each probe of which solves the Eq. (38) theta
+optimization.  Across a sweep grid the cells are independent, so the
+searches of many cells can advance in lockstep, pooling every pending
+``(lane, s)`` point of every cell into one kernel call per engine round.
 
-This module implements that as a tiny round-based scheduler over
-*s-search chains*:
+The engine runs the same step generators as the per-cell reference in
+:mod:`repro.network.e2e`, so every loop exists once:
 
-* a chain is the s-search of one lane, the generator
-  :func:`~repro.utils.numeric.grid_then_golden_steps` of
-  :mod:`repro.utils.numeric` — the very loop behind
-  ``grid_then_golden`` — which yields its ``s`` points instead of
-  evaluating them, so the loop exists once;
-* the engine gathers the pending ``s`` points of all live chains each
-  round and evaluates them in one
-  :func:`repro.network.cprobe.mmoo_gamma_values` call: the generated-C
-  kernel builds each lane's EBB pair at ``s`` and runs its whole gamma
-  search (log grid, first argmin, golden-section refinement) in C, so
-  one ``(lane, s)`` point is one kernel request;
-* :func:`edf_bound_lanes` drives the whole grid's EDF deadline vector
-  through one such engine pass per fixed-point iteration, with
-  per-lane convergence masking: a converged lane stops spawning
-  chains (its diagnostics freeze at its own iteration count) while
-  stragglers keep iterating.
+* a chain is the s-search of one lane,
+  :func:`~repro.network.e2e.mmoo_s_steps` (the grid-then-golden search
+  of :mod:`repro.utils.numeric` on the bracket below
+  :func:`~repro.network.e2e.mmoo_s_max`), which yields its ``s`` points
+  instead of evaluating them;
+* each round gathers the pending ``s`` points of all live chains and
+  evaluates them in one :func:`repro.network.cprobe.mmoo_gamma_values`
+  call: the generated-C kernel builds each lane's EBB pair at ``s`` and
+  runs its whole gamma search in C, so one ``(lane, s)`` point is one
+  kernel request;
+* :func:`edf_bound_lanes` drives one
+  :func:`~repro.network.e2e.edf_fixed_point_steps` per lane in
+  lockstep, one engine pass per round over every unfinished lane's next
+  ``Delta``; a lane leaves when its own fixed point returns.
 
 This is *the* numpy search: ``backend="numpy"`` of
 :func:`~repro.network.e2e.e2e_delay_bound`,
@@ -67,18 +63,18 @@ from repro.arrivals.mmoo import MMOOParameters
 from repro.network import cprobe
 from repro.network.e2e import (
     _INFEASIBLE,
-    _max_feasible_s,
     E2EResult,
     EDFBound,
     NonConvergence,
     check_backend,
-    check_nonconvergence_policy,
+    check_edf_settings,
     e2e_delay_bound,
     e2e_delay_bound_at_gamma,
+    edf_fixed_point_steps,
     mmoo_ebb_pair,
-    report_nonconvergence,
+    mmoo_s_max,
+    mmoo_s_steps,
 )
-from repro.utils.numeric import grid_then_golden_steps
 from repro.utils.validation import check_int, check_positive, check_probability
 
 __all__ = [
@@ -127,33 +123,22 @@ class EDFLaneSpec:
 
 
 class _Lane:
-    """Mutable per-lane state: the lane's row in the kernel's lane table
-    and the gamma its s-search found at each ``s``."""
+    """Mutable per-lane state: the lane's row in the kernel's lane table,
+    the top of its s bracket, and the gamma its s-search found at each
+    ``s``."""
 
-    __slots__ = ("spec", "delta", "index", "gammas", "_s_max")
+    __slots__ = ("spec", "delta", "index", "s_max", "gammas")
 
     def __init__(self, spec: LaneSpec | EDFLaneSpec, delta: float,
-                 table: cprobe.LaneTable):
+                 table: cprobe.LaneTable, s_max: float | None):
         self.spec = spec
         self.delta = delta
         self.index = table.add(
             spec.traffic, spec.n_through, spec.n_cross, spec.hops,
             spec.capacity, delta, spec.epsilon, spec.gamma_grid,
         )
+        self.s_max = s_max
         self.gammas: dict[float, float] = {}  # s -> optimal gamma
-        self._s_max: float | None = None
-
-    def s_max(self) -> float:
-        # delta-independent, so cached across EDF fixed-point iterations
-        # (the scalar search recomputes the identical bisection result)
-        if self._s_max is None:
-            spec = self.spec
-            self._s_max = _max_feasible_s(
-                spec.traffic,
-                spec.n_through + max(spec.n_cross, 1),
-                spec.capacity,
-            )
-        return self._s_max
 
     def at_s(self, s: float) -> E2EResult:
         """Materialize the bound at the optimal ``s``.
@@ -181,23 +166,20 @@ class _Lane:
         )
 
 
+def _s_max(spec: LaneSpec | EDFLaneSpec) -> float | None:
+    return mmoo_s_max(spec.traffic, spec.n_through, spec.n_cross, spec.capacity)
+
+
 # --------------------------------------------------------------------- #
 # the engine: run s-search chains, one kernel request per (lane, s)
 # --------------------------------------------------------------------- #
 
 
 def _mmoo_chain(lane: _Lane):
-    """The s-search of one mmoo bound; yields lists of ``s`` points,
-    is sent their objective values (the optimal delay over gamma)."""
-    spec = lane.spec
-    if (spec.n_through + spec.n_cross) * spec.traffic.mean_rate >= spec.capacity:
-        return _INFEASIBLE
-    s_max = lane.s_max()
-    s_best, _ = yield from grid_then_golden_steps(
-        s_max * 1e-4, s_max * (1.0 - 1e-9),
-        grid_points=spec.s_grid, log_spaced=True,
-    )
-    return lane.at_s(s_best)
+    """The s-search of one lane; yields lists of ``s`` points, is sent
+    their objective values (the optimal delay over gamma)."""
+    s_best = yield from mmoo_s_steps(lane.s_max, lane.spec.s_grid)
+    return _INFEASIBLE if s_best is None else lane.at_s(s_best)
 
 
 def _run_lanes(table: cprobe.LaneTable, lanes: list[_Lane]) -> list:
@@ -310,7 +292,7 @@ def mmoo_bound_lanes(specs: Iterable[LaneSpec]) -> list[E2EResult]:
     for spec in specs:
         _check_lane(spec)
     table = cprobe.LaneTable()
-    lanes = [_Lane(spec, spec.delta, table) for spec in specs]
+    lanes = [_Lane(spec, spec.delta, table, _s_max(spec)) for spec in specs]
     with obs.trace("lanes.mmoo_batch"):
         results = _run_lanes(table, lanes)
     if obs.enabled():
@@ -318,121 +300,85 @@ def mmoo_bound_lanes(specs: Iterable[LaneSpec]) -> list[E2EResult]:
     return results
 
 
+def _geometry(spec: EDFLaneSpec) -> tuple:
+    """What enters an EDF lane's bound at a given ``Delta`` (the deadline
+    weights and the fixed-point settings do not)."""
+    return (
+        spec.traffic, spec.n_through, spec.n_cross, spec.hops,
+        spec.capacity, spec.epsilon, spec.method, spec.s_grid,
+        spec.gamma_grid, spec.backend,
+    )
+
+
 def edf_bound_lanes(specs: Iterable[EDFLaneSpec]) -> list[EDFBound]:
     """Batched :func:`~repro.network.e2e.e2e_delay_bound_edf`.
 
-    One engine pass per fixed-point iteration iterates the whole
-    group's deadline vector together; per-lane convergence masking
-    freezes finished lanes while stragglers keep iterating, so each
-    lane sees exactly the per-cell iteration sequence (identical
-    bounds, iteration counts, residuals, and convergence flags).  The
-    shared FIFO bootstrap (``delta = 0``) is computed once per distinct
-    lane geometry — deadline weights do not enter it — and reused.
+    Drives one :func:`~repro.network.e2e.edf_fixed_point_steps` per
+    spec in lockstep: each round gathers every unfinished fixed point's
+    next ``Delta`` and runs them as one engine pass, so each lane sees
+    exactly its per-cell iteration sequence (identical bounds, iteration
+    counts, residuals, and convergence flags).  Lanes of one geometry
+    at the same ``Delta`` run once per round — in practice the shared
+    FIFO bootstrap (``Delta = 0``) of specs that differ only in deadline
+    weights (counted as ``lanes.bootstrap_dedup``) — and ``s_max`` is
+    computed once per geometry.
     """
     specs = list(specs)
+    start = time.perf_counter()
+    fixed_points = []
     for spec in specs:
         _check_lane(spec)
-        check_positive(
-            spec.deadline_weight_through, "deadline_weight_through"
+        max_iter = check_edf_settings(
+            spec.deadline_weight_through, spec.deadline_weight_cross,
+            spec.tol, spec.max_iter, spec.on_nonconvergence,
         )
-        check_positive(spec.deadline_weight_cross, "deadline_weight_cross")
-        check_nonconvergence_policy(spec.on_nonconvergence)
-    n = len(specs)
-    start = time.perf_counter()
+        fixed_points.append(edf_fixed_point_steps(
+            spec.deadline_weight_through - spec.deadline_weight_cross,
+            spec.hops, spec.tol, max_iter, spec.on_nonconvergence, start,
+        ))
     table = cprobe.LaneTable()
+    geometries = [_geometry(spec) for spec in specs]
+    s_maxes = {
+        geometry: _s_max(spec)
+        for geometry, spec in dict(zip(geometries, specs)).items()
+    }
+    bounds: list = [None] * len(specs)
+    pending: list = []  # (slot, fixed point, delta)
 
-    def bootstrap_key(spec: EDFLaneSpec):
-        return (
-            spec.traffic, spec.n_through, spec.n_cross, spec.hops,
-            spec.capacity, spec.epsilon, spec.method, spec.s_grid,
-            spec.gamma_grid, spec.backend,
-        )
-
-    bounds: list[EDFBound | None] = [None] * n
-    deltas = [0.0] * n
-    residuals = [math.inf] * n
-    results: list[E2EResult | None] = [None] * n
-    active = list(range(n))
-
-    def finish(i, *state):
-        bounds[i] = EDFBound.finish(*state, start)
+    def step(slot, fixed_point, values):
+        try:
+            (delta,) = fixed_point.send(values)
+        except StopIteration as stop:
+            bounds[slot] = stop.value
+            return
+        pending.append((slot, fixed_point, delta))
 
     with obs.trace("lanes.edf_batch"):
-        # FIFO bootstrap, deduplicated across lanes sharing a geometry
-        # (EDF variants differing only in deadline weights)
-        unique: dict = {}
-        for i in active:
-            unique.setdefault(bootstrap_key(specs[i]), []).append(i)
-        lane_groups = list(unique.values())
-        boot = _run_lanes(
-            table, [_Lane(specs[group[0]], 0.0, table) for group in lane_groups]
-        )
-        if obs.enabled() and n:
-            obs.add("lanes.bootstrap_dedup", n - len(lane_groups))
-        still = []
-        for group, current in zip(lane_groups, boot):
-            for i in group:
-                if not current.feasible:
-                    finish(i, current, 0.0, 0, 0.0, True)
-                else:
-                    spec = specs[i]
-                    weight_gap = (
-                        spec.deadline_weight_through
-                        - spec.deadline_weight_cross
+        for slot, fixed_point in enumerate(fixed_points):
+            step(slot, fixed_point, None)
+        shared = 0
+        while pending:
+            batch, pending = pending, []
+            lanes: dict = {}  # (geometry, delta) -> lane
+            for slot, _, delta in batch:
+                geometry = geometries[slot]
+                if (geometry, delta) not in lanes:
+                    lanes[geometry, delta] = _Lane(
+                        specs[slot], delta, table, s_maxes[geometry]
                     )
-                    deltas[i] = weight_gap * current.delay / spec.hops
-                    still.append(i)
-        active = still
-
-        iteration = 0
-        while active:
-            iteration += 1
-            over = [i for i in active if iteration > specs[i].max_iter]
-            for i in over:
-                spec = specs[i]
-                report_nonconvergence(
-                    spec.on_nonconvergence, spec.max_iter, spec.tol,
-                    residuals[i],
-                )
-                finish(
-                    i, results[i], deltas[i], specs[i].max_iter,
-                    residuals[i], False,
-                )
-            active = [i for i in active if iteration <= specs[i].max_iter]
-            if not active:
-                break
-            lanes = [_Lane(specs[i], deltas[i], table) for i in active]
+            shared += len(batch) - len(lanes)
             if obs.enabled():
                 obs.add("lanes.edf_rounds")
-                obs.observe("lanes.edf_round_lanes", len(active))
-            step_results = _run_lanes(table, lanes)
-            still = []
-            for i, result in zip(active, step_results):
-                results[i] = result
-                spec = specs[i]
-                if not result.feasible:
-                    # an infinite bound cannot move: at rest
-                    finish(i, result, deltas[i], iteration, 0.0, True)
-                    continue
-                weight_gap = (
-                    spec.deadline_weight_through - spec.deadline_weight_cross
-                )
-                new_delta = weight_gap * result.delay / spec.hops
-                step = abs(new_delta - deltas[i])
-                scale = max(1.0, abs(deltas[i]))
-                residuals[i] = step / scale
-                if step <= spec.tol * scale:
-                    finish(i, result, new_delta, iteration, residuals[i], True)
-                    continue
-                deltas[i] = 0.5 * (deltas[i] + new_delta)  # damping
-                still.append(i)
-            active = still
+                obs.observe("lanes.edf_round_lanes", len(lanes))
+            results = dict(zip(lanes, _run_lanes(table, list(lanes.values()))))
+            for slot, fixed_point, delta in batch:
+                step(slot, fixed_point, [results[geometries[slot], delta]])
 
     if obs.enabled():
-        obs.add("lanes.edf_lanes", n)
+        obs.add("lanes.edf_lanes", len(specs))
+        obs.add("lanes.bootstrap_dedup", shared)
         for bound in bounds:
             obs.observe(
                 "lanes.edf_lane_iterations", bound.diagnostics.iterations
             )
-    return [bound for bound in bounds]
-
+    return bounds

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from repro.arrivals.ebb import EBB
 from repro.arrivals.mmoo import MMOOParameters
 from repro.arrivals.statistical import ExponentialBound, combine_bounds
-from repro.utils.numeric import grid_then_golden
+from repro.utils.numeric import drive, grid_then_golden
 from repro.utils.validation import check_int, check_positive, check_probability
 
 
@@ -180,12 +180,8 @@ def additive_pernode_delay_bound_mmoo(
     """Additive baseline for MMOO aggregates, optimizing ``(s, gamma)``."""
     n_through = check_int(n_through, "n_through", minimum=1)
     n_cross = check_int(n_cross, "n_cross", minimum=0)
-    if (n_through + n_cross) * traffic.mean_rate >= capacity:
-        return _INFEASIBLE
 
-    from repro.network.e2e import _max_feasible_s, mmoo_ebb_pair
-
-    s_max = _max_feasible_s(traffic, n_through + max(n_cross, 1), capacity)
+    from repro.network.e2e import mmoo_ebb_pair, mmoo_s_max, mmoo_s_steps
 
     def at_s(s: float) -> AdditiveResult:
         through, cross = mmoo_ebb_pair(traffic, n_through, n_cross, s)
@@ -194,11 +190,8 @@ def additive_pernode_delay_bound_mmoo(
             gamma_grid=gamma_grid, backend=backend,
         )
 
-    s_best, _ = grid_then_golden(
+    s_best = drive(
+        mmoo_s_steps(mmoo_s_max(traffic, n_through, n_cross, capacity), s_grid),
         lambda s: at_s(s).delay,
-        s_max * 1e-4,
-        s_max * (1.0 - 1e-9),
-        grid_points=s_grid,
-        log_spaced=True,
     )
-    return at_s(s_best)
+    return _INFEASIBLE if s_best is None else at_s(s_best)

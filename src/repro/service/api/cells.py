@@ -9,33 +9,28 @@ computed by the service warms the same cache entries a sweep run would
 read, and vice versa.
 
 :func:`bound_query_plan` is the cell's batch planner (registered in
-:mod:`repro.experiments.batch`): delay queries plan onto the
-:mod:`repro.network.lanes` engine (``"mmoo"`` for FIFO/BMUX/SP,
-``"edf"`` for the deadline fixed point), so concurrent queries fuse
-into one broadcasted kernel sweep; backlog queries have no lane family
-yet and decline, falling back to singleton execution — the planner
-counts these under ``batch.fallback_cells.planner_declined``.
+:mod:`repro.experiments.batch`), and delay queries are defined by it:
+they plan onto the :mod:`repro.network.lanes` engine (``"mmoo"`` for
+FIFO/BMUX/SP, ``"edf"`` for the deadline fixed point), so concurrent
+queries fuse into one kernel sweep, and the cell answers a lone query
+with :func:`~repro.experiments.batch.solve_plan` of the same plan.
+Backlog queries have no lane family yet: the planner declines them
+(counted under ``batch.fallback_cells.planner_declined``) and the cell
+solves them itself, as singleton batches.
 
-Both the cell function and the planner produce answers through the very
-same solver entry points as a direct call into
-:mod:`repro.network.e2e` / :mod:`repro.network.backlog`, and the lane
-engine mirrors the per-cell searches bitwise, so a served answer is
-bitwise-identical to the corresponding direct computation.
+Either way the answer comes from the same solver entry points as a
+direct call into :mod:`repro.network.e2e` / :mod:`repro.network.backlog`,
+so a served answer is bitwise-identical to the direct computation.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.experiments.batch import CellPlan, edf_diagnostics
+from repro.experiments.batch import CellPlan, edf_diagnostics, solve_plan
 from repro.experiments.config import DEFAULT_BACKEND, SCHEDULER_MAP
 from repro.network.backlog import BacklogResult, e2e_backlog_bound_mmoo
-from repro.network.e2e import (
-    E2EResult,
-    EDFBound,
-    e2e_delay_bound_edf,
-    e2e_delay_bound_mmoo,
-)
+from repro.network.e2e import E2EResult, EDFBound
 from repro.network.lanes import EDFLaneSpec, LaneSpec
 from repro.arrivals.mmoo import MMOOParameters
 
@@ -69,7 +64,7 @@ def _delay_row(
 
 
 def _edf_payload(scheduler: str, hops: int, bound: EDFBound) -> dict:
-    """The EDF answer payload; shared by the cell and the batched path."""
+    """The EDF answer payload."""
     row = _delay_row(scheduler, hops, bound.result, bound.delta)
     row["edf"] = edf_diagnostics(bound)
     return {"rows": [row], "diagnostics": dict(row["edf"])}
@@ -78,7 +73,7 @@ def _edf_payload(scheduler: str, hops: int, bound: EDFBound) -> dict:
 def _mmoo_payload(
     scheduler: str, hops: int, delta: float, result: E2EResult
 ) -> dict:
-    """The FIFO/BMUX/SP answer payload; shared with the batched path."""
+    """The FIFO/BMUX/SP answer payload."""
     return {"rows": [_delay_row(scheduler, hops, result, delta)], "diagnostics": {}}
 
 
@@ -127,35 +122,24 @@ def bound_query_cell(
     (queries normalize them to the paper defaults otherwise, keeping
     the cache key canonical).
     """
-    peak, p11, p22 = traffic
-    mmoo = MMOOParameters(peak, p11, p22)
+    plan = bound_query_plan(locals())
+    if plan is not None:
+        return solve_plan(plan)
+    # a backlog query: the one kind with no lane family
     _, delta, _ = SCHEDULER_MAP[scheduler]
-    grid = {"s_grid": s_grid, "gamma_grid": gamma_grid, "backend": backend}
-    if kind == "backlog":
-        backlog = e2e_backlog_bound_mmoo(
-            mmoo, n_through, n_cross, hops, capacity, delta, epsilon, **grid
-        )
-        return _backlog_payload(scheduler, hops, delta, backlog)
-    if scheduler == "EDF":
-        bound = e2e_delay_bound_edf(
-            mmoo, n_through, n_cross, hops, capacity, epsilon,
-            deadline_weight_through=deadline_weight_through,
-            deadline_weight_cross=deadline_weight_cross,
-            **grid,
-        )
-        return _edf_payload(scheduler, hops, bound)
-    result = e2e_delay_bound_mmoo(
-        mmoo, n_through, n_cross, hops, capacity, delta, epsilon, **grid
+    backlog = e2e_backlog_bound_mmoo(
+        MMOOParameters(*traffic), n_through, n_cross, hops, capacity, delta,
+        epsilon, s_grid=s_grid, gamma_grid=gamma_grid, backend=backend,
     )
-    return _mmoo_payload(scheduler, hops, delta, result)
+    return _backlog_payload(scheduler, hops, delta, backlog)
 
 
 def bound_query_plan(params: dict) -> CellPlan | None:
-    """Batch plan of one service query (see :mod:`repro.experiments.batch`).
+    """The plan of one delay query, shared by :func:`bound_query_cell`
+    and the batched path (see :mod:`repro.experiments.batch`).
 
     Returns ``None`` for backlog queries — there is no backlog lane
-    family yet, so they run as singleton fallback batches (counted by
-    the planner under ``batch.fallback_cells.planner_declined``).
+    family yet, so :func:`bound_query_cell` solves them itself.
     """
     if params["kind"] != "delay":
         return None

@@ -10,9 +10,10 @@ refinement around the best grid cell is robust and derivative-free.
 Each search loop is written once, as a generator that yields its probe
 points (:func:`golden_section_steps`, :func:`refine_grid_steps`,
 :func:`grid_then_golden_steps`); the familiar callable-taking functions
-are thin drivers of those generators.  The cross-cell lane engine of
-:mod:`repro.network.lanes` drives :func:`grid_then_golden_steps` over
-``s`` with batched requests, and the generated-C kernel of
+are thin :func:`drive` calls on those generators.  The cross-cell lane
+engine of :mod:`repro.network.lanes` drives the same generators (inside
+:func:`repro.network.e2e.mmoo_s_steps`, the s-search) with batched
+requests, and the generated-C kernel of
 :mod:`repro.network.cprobe` mirrors :func:`grid_then_golden` for the
 gamma search inside each request (its Python fallback is this
 function).
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, Generator, Iterable, Sequence
+from typing import Any, Callable, Generator, Iterable, Sequence
 
 from repro import obs
 
@@ -101,8 +102,10 @@ def bisect_increasing(
     return high
 
 
-def _drive(steps: SearchSteps, func: Callable[[float], float]) -> tuple:
-    """Run a search generator, evaluating ``func`` point by point."""
+def drive(steps: Generator[list, list, Any], func: Callable) -> Any:
+    """Run a step generator (a :data:`SearchSteps` search, or the s-search
+    and EDF fixed point of :mod:`repro.network.e2e`), evaluating ``func``
+    point by point; returns the generator's return value."""
     values: list | None = None
     while True:
         try:
@@ -157,7 +160,7 @@ def golden_section_min(
     local minimum inside the bracket, which is acceptable for the refinement
     step after a grid scan.
     """
-    return _drive(
+    return drive(
         golden_section_steps(low, high, tol=tol, max_iter=max_iter), func
     )
 
@@ -202,7 +205,7 @@ def refine_grid_minimum(
     of :func:`grid_then_golden`, shared so the batched (numpy) grid sweeps
     reuse the scalar refinement verbatim.
     """
-    return _drive(refine_grid_steps(xs, fs, tol=tol), func)
+    return drive(refine_grid_steps(xs, fs, tol=tol), func)
 
 
 def search_grid(
@@ -257,7 +260,7 @@ def grid_then_golden(
     steps = grid_then_golden_steps(
         low, high, grid_points=grid_points, tol=tol, log_spaced=log_spaced
     )
-    return _drive(steps, func)
+    return drive(steps, func)
 
 
 def minimize_piecewise_linear(

@@ -23,10 +23,12 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.arrivals.mmoo import MMOOParameters
 from repro.experiments.config import SCHEDULER_MAP
 from repro.experiments.example1 import fig2_spec
 from repro.experiments.example2 import fig3_spec
+from repro.experiments.example3 import fig4_spec
 from repro.experiments.sweep import run_sweep
 from repro.experiments.validation import validation_spec
 from repro.network.e2e import e2e_delay_bound_edf, e2e_delay_bound_mmoo
@@ -137,6 +139,33 @@ def test_edf_lanes_match_scalar_randomized(backend):
         )
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_edf_lanes_share_runs_across_deadline_weights(backend):
+    """Specs differing only in deadline weights share their FIFO
+    bootstrap (one lane run saved) and still equal their own runs."""
+    traffic = MMOOParameters.paper_defaults()
+    specs = [
+        EDFLaneSpec(
+            traffic, 120, 150, 3, 100.0, 1e-6,
+            deadline_weight_through=w_through,
+            deadline_weight_cross=w_cross,
+            s_grid=6, gamma_grid=6, backend=backend,
+            on_nonconvergence="ignore",
+        )
+        for w_through, w_cross in ((1.0, 2.0), (2.0, 1.0))
+    ]
+    with obs.scoped(enabled=True) as registry:
+        fused = edf_bound_lanes(specs)
+    assert registry.counter("lanes.bootstrap_dedup") == 1
+    for spec, got in zip(specs, fused):
+        (want,) = edf_bound_lanes([spec])
+        _assert_results_equal(got.result, want.result, spec)
+        assert got.delta == want.delta
+        assert got.diagnostics.iterations == want.diagnostics.iterations
+        assert got.diagnostics.residual == want.diagnostics.residual
+        assert got.diagnostics.converged == want.diagnostics.converged
+
+
 def test_mmoo_lanes_infeasible_lane():
     """An overloaded lane returns the infeasible sentinel, like scalar."""
     traffic = MMOOParameters.paper_defaults()
@@ -161,13 +190,19 @@ def _strip(payload):
     "spec",
     [
         fig2_spec(utilizations=(0.35, 0.80), hops=(2,)),
+        fig2_spec(utilizations=(0.5,), hops=(2,), backend="scalar"),
         fig3_spec(mixes=(0.3,), hops=(5,)),
         fig3_spec(mixes=(0.5,), hops=(2,), backend="scalar"),
+        # includes the "BMUX additive" cell its planner declines
+        fig4_spec(hops=(2,), utilizations=(0.5,)),
         validation_spec(
             schedulers=("FIFO", "BMUX", "EDF", "SP"), hops=(1,), slots=500
         ),
     ],
-    ids=["fig2", "fig3", "fig3-scalar", "validation-sp"],
+    ids=[
+        "fig2", "fig2-scalar", "fig3", "fig3-scalar", "fig4",
+        "validation-sp",
+    ],
 )
 def test_run_sweep_batched_matches_per_cell(spec):
     plain = run_sweep(spec)

@@ -242,6 +242,56 @@ class TestEDFFixedPoint:
             e2e_delay_bound_edf(*args, on_nonconvergence="explode", **kwargs)
 
 
+class TestEDFSettings:
+    """One check rejects fixed-point settings the iteration cannot use,
+    naming the field, on both backends and for a lane batch."""
+
+    TRAFFIC = MMOOParameters(peak=1.5, p11=0.989, p22=0.9)
+    BAD = [
+        ({"max_iter": 0}, "max_iter"),
+        ({"max_iter": -3}, "max_iter"),
+        ({"tol": -1.0}, "tol"),
+        ({"tol": math.nan}, "tol"),
+        ({"tol": math.inf}, "tol"),
+    ]
+
+    @pytest.mark.parametrize("backend", ["numpy", "scalar"])
+    @pytest.mark.parametrize("bad,field", BAD)
+    def test_entry_point_rejects(self, backend, bad, field):
+        with pytest.raises(ValueError, match=field):
+            e2e_delay_bound_edf(
+                self.TRAFFIC, 20, 40, 2, 20.0, 1e-6,
+                s_grid=4, gamma_grid=4, backend=backend, **bad,
+            )
+
+    @pytest.mark.parametrize("bad,field", BAD)
+    def test_lane_batch_rejects(self, bad, field):
+        from repro.network.lanes import EDFLaneSpec, edf_bound_lanes
+
+        good = EDFLaneSpec(self.TRAFFIC, 20, 40, 2, 20.0, 1e-6, s_grid=4,
+                           gamma_grid=4)
+        bad_spec = EDFLaneSpec(self.TRAFFIC, 20, 40, 2, 20.0, 1e-6,
+                               s_grid=4, gamma_grid=4, **bad)
+        with pytest.raises(ValueError, match=field):
+            edf_bound_lanes([good, bad_spec])
+
+    @pytest.mark.parametrize("backend", ["numpy", "scalar"])
+    def test_edge_values_accepted(self, backend):
+        bound = e2e_delay_bound_edf(
+            self.TRAFFIC, 20, 40, 2, 20.0, 1e-6, s_grid=4, gamma_grid=4,
+            tol=0.0, max_iter=1, backend=backend, on_nonconvergence="ignore",
+        )
+        assert bound.result is not None
+        assert bound.diagnostics.iterations <= 1
+        # an integral float counts as an int, like hops and flow counts
+        bound = e2e_delay_bound_edf(
+            self.TRAFFIC, 20, 40, 2, 20.0, 1e-6, s_grid=4, gamma_grid=4,
+            max_iter=2.0, backend=backend, on_nonconvergence="ignore",
+        )
+        assert bound.diagnostics.iterations in (1, 2)
+        assert isinstance(bound.diagnostics.iterations, int)
+
+
 class TestGridSize:
     """Every search grid needs at least three points (a bracket around
     the best one); every entry point and backend raises ValueError."""

@@ -93,6 +93,51 @@ class TestEDFFixedPointTrace:
         assert scalar.counter("numeric.golden_calls") > 0
         assert scalar.counter("numeric.refine_calls") > 0
 
+    #: converges in more than one iteration; ``max_iter=1`` cuts it short
+    SLOW = (TRAFFIC, 100, 236, 5, 100.0, 1e-9)
+
+    @pytest.mark.parametrize("backend", ["numpy", "scalar"])
+    def test_nonconvergence_counted(self, traced, backend):
+        bound = e2e_delay_bound_edf(
+            *self.SLOW, s_grid=6, gamma_grid=6, max_iter=1,
+            backend=backend, on_nonconvergence="ignore",
+        )
+        assert not bound.diagnostics.converged
+        assert traced.counter("e2e.edf_nonconverged") == 1
+
+    def test_nonconvergence_counted_per_lane(self, traced):
+        from repro.network.lanes import EDFLaneSpec, edf_bound_lanes
+
+        specs = [
+            EDFLaneSpec(*self.SLOW, s_grid=6, gamma_grid=6, max_iter=m,
+                        on_nonconvergence="ignore")
+            for m in (1, 40)
+        ]
+        stuck, done = edf_bound_lanes(specs)
+        assert not stuck.diagnostics.converged
+        assert done.diagnostics.converged
+        assert traced.counter("e2e.edf_nonconverged") == 1
+        assert traced.counter("e2e.edf_iterations") == (
+            stuck.diagnostics.iterations + done.diagnostics.iterations
+        )
+
+    def test_s_max_once_per_lane_geometry(self):
+        """The s bracket does not depend on Delta: the lane engine
+        bisects for it once per geometry, not once per iteration."""
+        from repro.network.lanes import EDFLaneSpec, edf_bound_lanes
+
+        calls = {}
+        for max_iter in (1, 6):
+            spec = EDFLaneSpec(*self.SLOW, s_grid=6, gamma_grid=6,
+                               max_iter=max_iter, on_nonconvergence="ignore")
+            with obs.scoped(enabled=True) as registry:
+                (bound,) = edf_bound_lanes([spec])
+            calls[bound.diagnostics.iterations] = registry.counter(
+                "numeric.bisect_calls"
+            )
+        assert len(calls) == 2  # two different iteration counts
+        assert set(calls.values()) == {1}
+
     def test_scalar_backend_counts_solver_calls(self, traced):
         edf_bound("scalar")
         assert traced.counter("optimization.solve_exact_calls") > 0
